@@ -213,9 +213,11 @@ BM_BatchStep(benchmark::State &state)
 {
     // Lockstep walk throughput at growing group sizes: one walk
     // advances `cells` timing configurations of one structural
-    // slice. Arg(1) is the per-cell replay baseline, so celluops/s
-    // (simulated uops x cells per second) exposes the batch win
-    // directly as rate.
+    // slice. Arg(1) is the one-cell walk (simulateCoreReplay), so
+    // celluops/s (simulated uops x cells per second) shows what
+    // sharing the decode, stream cursors and stats across a group
+    // buys. On AVX-512 hosts every group, the one-cell walk too,
+    // runs 16-lane groups of the shared cycle step.
     const BatchFix &f = batchFix();
     size_t group = size_t(state.range(0));
     std::vector<CoreConfig> cells;

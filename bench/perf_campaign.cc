@@ -2,18 +2,13 @@
  * @file
  * Wall-clock measurement of the DSE campaign hot path: one cold slab
  * (49 phases x 180 microarchitectures x 2 run environments) computed
- * four ways inside a single process so compile/simulate work is
+ * three ways inside a single process so compile/simulate work is
  * identical — serially on the live engine, on the full CISA_THREADS
- * pool with the live engine, on the pool with the memoized per-cell
- * replay engine (packed traces + structural-stream memo), and on the
- * pool with the batched lockstep engine (one trace walk per cell
- * group). Prints all four times, the speedups, and verifies the four
- * tables are byte-identical — the acceptance evidence for the
- * parallel engine (PR 1: >= 2.5x pool vs serial at CISA_THREADS=4 on
- * a 4+-core host), the replay engine (PR 2: >= 2x replay vs pool at
- * the same thread count), and the batch engine (PR 6: >= 2x batch vs
- * per-cell replay single-thread, still visible at 4 threads —
- * algorithmic wins that show even on one core).
+ * pool with the live engine, and on the pool with the batched
+ * lockstep engine (packed traces + memoized structural streams, one
+ * trace walk per cell group). Prints the three times and the
+ * speedups, and verifies the three tables are byte-identical (exit 1
+ * on a mismatch).
  *
  * With --json, emits a single machine-readable JSON object on stdout
  * instead (see scripts/bench_perf.sh, which seeds BENCH_PR<N>.json).
@@ -92,23 +87,16 @@ main(int argc, char **argv)
         computeSlabPerf(slab, SlabEngine::Live);
     double t_pool = secondsSince(t0);
 
-    t0 = std::chrono::steady_clock::now();
-    std::vector<PhasePerf> replay =
-        computeSlabPerf(slab, SlabEngine::Replay);
-    double t_replay = secondsSince(t0);
-
     EngineHealth eh;
     t0 = std::chrono::steady_clock::now();
     std::vector<PhasePerf> batch =
         computeSlabPerf(slab, SlabEngine::Batch, nullptr, &eh);
     double t_batch = secondsSince(t0);
 
-    bool identical = sameTable(serial, pool) &&
-                     sameTable(serial, replay) &&
-                     sameTable(serial, batch);
+    bool identical =
+        sameTable(serial, pool) && sameTable(serial, batch);
     double sp_pool = t_pool > 0 ? t_serial / t_pool : 0.0;
-    double sp_replay = t_replay > 0 ? t_pool / t_replay : 0.0;
-    double sp_batch = t_batch > 0 ? t_replay / t_batch : 0.0;
+    double sp_batch = t_batch > 0 ? t_pool / t_batch : 0.0;
 
     if (json) {
         std::printf(
@@ -122,11 +110,9 @@ main(int argc, char **argv)
             "  \"sim_warmup\": %llu,\n"
             "  \"serial_live_s\": %.3f,\n"
             "  \"pool_live_s\": %.3f,\n"
-            "  \"pool_replay_s\": %.3f,\n"
             "  \"pool_batch_s\": %.3f,\n"
             "  \"speedup_pool_vs_serial\": %.2f,\n"
-            "  \"speedup_replay_vs_pool\": %.2f,\n"
-            "  \"speedup_batch_vs_replay\": %.2f,\n"
+            "  \"speedup_batch_vs_pool\": %.2f,\n"
             "  \"cells_batched\": %llu,\n"
             "  \"walks_done\": %llu,\n"
             "  \"walks_saved\": %llu,\n"
@@ -135,7 +121,7 @@ main(int argc, char **argv)
             slab, threads, phaseCount(), DesignPoint::kUarchCount,
             (unsigned long long)simUopBudget(),
             (unsigned long long)simWarmupUops(), t_serial, t_pool,
-            t_replay, t_batch, sp_pool, sp_replay, sp_batch,
+            t_batch, sp_pool, sp_batch,
             (unsigned long long)eh.cellsBatched,
             (unsigned long long)eh.walksDone,
             (unsigned long long)eh.walksSaved,
@@ -144,10 +130,8 @@ main(int argc, char **argv)
         std::printf("  serial live    : %8.3f s\n", t_serial);
         std::printf("  pool live  x%-2d : %8.3f s  (%.2fx)\n",
                     threads, t_pool, sp_pool);
-        std::printf("  pool replay x%-2d: %8.3f s  (%.2fx vs pool)\n",
-                    threads, t_replay, sp_replay);
         std::printf(
-            "  pool batch x%-2d : %8.3f s  (%.2fx vs replay, "
+            "  pool batch x%-2d : %8.3f s  (%.2fx vs pool live, "
             "%llu walks saved)\n",
             threads, t_batch, sp_batch,
             (unsigned long long)eh.walksSaved);

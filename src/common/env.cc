@@ -129,28 +129,10 @@ dseCacheReadonly()
     return envInt("CISA_DSE_READONLY", 0) != 0;
 }
 
-bool
-replayEnabled()
-{
-    return envInt("CISA_REPLAY", 1) != 0;
-}
-
-bool
-batchEnabled()
-{
-    return envInt("CISA_BATCH", 1) != 0;
-}
-
 int
 batchWidth()
 {
     return int(envIntRange("CISA_BATCH_WIDTH", 64, 2, 1 << 20));
-}
-
-bool
-batchSimdEnabled()
-{
-    return envInt("CISA_BATCH_SIMD", 1) != 0;
 }
 
 int

@@ -59,26 +59,11 @@ std::string dseCachePath();
  * quarantines the store file. */
 bool dseCacheReadonly();
 
-/** Whether the campaign uses the memoized replay engine
- * (CISA_REPLAY, default on; results are bit-identical either way). */
-bool replayEnabled();
-
-/** Whether the campaign batches replay cells into lockstep groups
- * (CISA_BATCH, default on; requires the replay engine and is
- * bit-identical to the per-cell paths either way). */
-bool batchEnabled();
-
 /** Upper bound on cells advanced by one lockstep trace walk
  * (CISA_BATCH_WIDTH, default 64): larger groups amortize the walk
  * further, smaller ones expose more (phase, group) tasks to the
  * pool. */
 int batchWidth();
-
-/** CISA_BATCH_SIMD: allow the vectorized lockstep kernel (default
- * on). Only consulted when the CPU supports AVX-512 and the cycle
- * stamps provably fit 32 bits; results are bit-identical either
- * way, so 0 exists for debugging and A/B timing. */
-bool batchSimdEnabled();
 
 /** Mid-end optimization level of every compile that takes its
  * options from the environment (CISA_OPT, 0..2, default 1): 0 = no

@@ -248,25 +248,18 @@ computeSlabPerf(int slab, SlabEngine engine,
     const RunEnv mp{0.25, 1.30};
     size_t phases = size_t(phaseCount());
 
-    // Engine selection. Auto honours two env knobs: CISA_REPLAY=0
-    // falls all the way back to the live per-cell engine, otherwise
-    // CISA_BATCH (default on) picks lockstep batches over per-cell
-    // replay. All three produce byte-identical tables.
-    SlabEngine mode = engine;
-    if (mode == SlabEngine::Auto) {
-        mode = !replayEnabled() ? SlabEngine::Live
-               : batchEnabled() ? SlabEngine::Batch
-                                : SlabEngine::Replay;
-    }
-    bool replay = mode != SlabEngine::Live;
+    // Live runs every cell on the live structural models (the test
+    // oracle); Batch (Auto) replays memoized structural streams in
+    // lockstep cell groups. Both produce byte-identical tables.
+    const bool replay = engine != SlabEngine::Live;
 
-    // Structural-slice dedup (replay engines only): one memoized
-    // stream per distinct (cache slice + environment + predictor)
-    // fingerprint instead of one per cell. The 180-config space
-    // collapses onto a handful of structural slices (2 cache
-    // geometries x 3 predictors x 2 environments), so almost all
-    // per-cell cache/predictor work is amortized away. Pure config
-    // arithmetic, so it runs before any trace exists.
+    // Structural-slice dedup: one memoized stream per distinct (cache
+    // slice + environment + predictor) fingerprint instead of one per
+    // cell. The 180-config space collapses onto a handful of
+    // structural slices (2 cache geometries x 3 predictors x 2
+    // environments), so almost all per-cell cache/predictor work is
+    // amortized away. Pure config arithmetic, so it runs before any
+    // trace exists; both engines share the task layout it gives.
     uint64_t max_steps = warm + timed;
     struct StreamSlice
     {
@@ -276,28 +269,22 @@ computeSlabPerf(int slab, SlabEngine engine,
         uint64_t key;
     };
     std::vector<StreamSlice> slices;
-    // slice index per (uarch id, env): env 0 = solo, 1 = contended.
-    std::vector<std::array<int, 2>> sliceOf;
-    if (replay) {
-        sliceOf.resize(size_t(DesignPoint::kUarchCount));
-        const RunEnv *envs[2] = {&solo, &mp};
-        for (int u = 0; u < DesignPoint::kUarchCount; u++) {
-            MicroArchConfig ua = MicroArchConfig::byId(u);
-            for (int e = 0; e < 2; e++) {
-                uint64_t key = structuralFingerprint(ua, *envs[e]);
-                int si = -1;
-                for (size_t k = 0; k < slices.size(); k++) {
-                    if (slices[k].key == key) {
-                        si = int(k);
-                        break;
-                    }
-                }
-                if (si < 0) {
-                    si = int(slices.size());
-                    slices.push_back({ua, *envs[e], e, key});
-                }
-                sliceOf[size_t(u)][size_t(e)] = si;
+    // Members of each slice: the uarch ids whose (uarch, env) cell
+    // consumes its stream.
+    std::vector<std::vector<int>> members;
+    const RunEnv *envs[2] = {&solo, &mp};
+    for (int u = 0; u < DesignPoint::kUarchCount; u++) {
+        MicroArchConfig ua = MicroArchConfig::byId(u);
+        for (int e = 0; e < 2; e++) {
+            uint64_t key = structuralFingerprint(ua, *envs[e]);
+            size_t si = 0;
+            while (si < slices.size() && slices[si].key != key)
+                si++;
+            if (si == slices.size()) {
+                slices.push_back({ua, *envs[e], e, key});
+                members.emplace_back();
             }
+            members[si].push_back(u);
         }
     }
 
@@ -364,172 +351,110 @@ computeSlabPerf(int slab, SlabEngine engine,
     });
     streamTasks.wait();
 
-    // Stage 2: simulate every (uarch, phase, env) cell and fold the
-    // results into PhasePerf. Counters are advisory (relaxed): each
-    // output slot is still written by exactly one task.
+    // Stage 2: simulate every (uarch, phase, env) cell in (phase,
+    // slice, chunk) tasks. Every member of a slice consumes the
+    // identical stream, so on Batch one lockstep walk advances a
+    // whole chunk (src/uarch/batch.hh); CISA_BATCH_WIDTH caps a
+    // chunk so one giant group cannot serialize the pool. Live runs
+    // the same tasks one cell at a time. Counters are advisory
+    // (relaxed): each result slot is written by exactly one task.
     std::atomic<uint64_t> nBatched{0}, nPerCell{0}, nWalks{0},
         nSaved{0};
-    std::vector<PhasePerf> cells(size_t(DesignPoint::kUarchCount) *
-                                 phases);
-
-    if (mode == SlabEngine::Batch) {
-        // Group cells by structural slice: every member consumes the
-        // identical stream, so one lockstep walk advances them all
-        // (src/uarch/batch.hh). Tasks are (phase, slice, chunk);
-        // CISA_BATCH_WIDTH caps a chunk so one giant group cannot
-        // serialize the pool.
-        std::vector<std::vector<int>> members(slices.size());
-        for (int u = 0; u < DesignPoint::kUarchCount; u++)
-            for (int e = 0; e < 2; e++)
-                members[size_t(sliceOf[size_t(u)][size_t(e)])]
-                    .push_back(u);
-        struct BatchTask
-        {
-            int ph, si;
-            size_t begin, end; ///< range within members[si]
-        };
-        size_t bw = size_t(batchWidth());
-        std::vector<BatchTask> tasks;
-        for (int ph = 0; ph < int(phases); ph++) {
-            for (size_t si = 0; si < slices.size(); si++) {
-                for (size_t b = 0; b < members[si].size(); b += bw) {
-                    tasks.push_back(
-                        {ph, int(si), b,
-                         std::min(members[si].size(), b + bw)});
-                }
+    struct SimTask
+    {
+        int ph, si;
+        size_t begin, end; ///< range within members[si]
+    };
+    size_t bw = size_t(batchWidth());
+    std::vector<SimTask> tasks;
+    for (int ph = 0; ph < int(phases); ph++) {
+        for (size_t si = 0; si < slices.size(); si++) {
+            for (size_t b = 0; b < members[si].size(); b += bw) {
+                tasks.push_back(
+                    {ph, int(si), b,
+                     std::min(members[si].size(), b + bw)});
             }
         }
-
-        // Intermediate per-sim results, indexed (u*phases+ph)*2+env;
-        // a second pass folds them into PhasePerf so the fold math
-        // stays in one place and cells[] keeps its one-writer rule.
-        std::vector<PerfResult> sims(
-            size_t(DesignPoint::kUarchCount) * phases * 2);
-        parallelFor(tasks.size(), [&](uint64_t t) {
-            checkCancel(cancel);
-            const BatchTask &bt = tasks[t];
-            const StreamSlice &sl = slices[size_t(bt.si)];
-            const std::vector<int> &mem = members[size_t(bt.si)];
-            size_t g = bt.end - bt.begin;
-            const ReplayTrace &pk = packed[size_t(bt.ph)];
-            const StructuralStream &ss =
-                streams[size_t(bt.ph)][size_t(bt.si)];
-            std::vector<CoreConfig> ccs;
-            ccs.reserve(g);
-            for (size_t i = bt.begin; i < bt.end; i++) {
-                int u = mem[i];
-                DesignPoint dp =
-                    is_vendor ? DesignPoint::vendorPoint(vm.kind, u)
-                              : DesignPoint::composite(slab, u);
-                ccs.push_back(dp.coreConfig());
-            }
-            auto slot = [&](size_t i) {
-                return (size_t(mem[i]) * phases + size_t(bt.ph)) *
-                           2 +
-                       size_t(sl.envIdx);
-            };
-            if (g == 1) {
-                // Singleton group: the per-cell path is the same
-                // walk without the batch setup.
-                sims[slot(bt.begin)] = simulateCoreReplay(
-                    ccs[0], pk, ss, timed, warm, sl.env);
-                nPerCell.fetch_add(1, std::memory_order_relaxed);
-                nWalks.fetch_add(1, std::memory_order_relaxed);
-                return;
-            }
-            std::vector<PerfResult> rs = simulateCoreBatch(
-                ccs.data(), g, pk, ss, timed, warm, sl.env);
-            for (size_t i = 0; i < g; i++)
-                sims[slot(bt.begin + i)] = rs[i];
-            nBatched.fetch_add(g, std::memory_order_relaxed);
-            nWalks.fetch_add(1, std::memory_order_relaxed);
-            nSaved.fetch_add(g - 1, std::memory_order_relaxed);
-        });
-
-        parallelFor(cells.size(), [&](uint64_t k) {
-            checkCancel(cancel);
-            int u = int(k / phases);
-            int ph = int(k % phases);
-            DesignPoint dp =
-                is_vendor ? DesignPoint::vendorPoint(vm.kind, u)
-                          : DesignPoint::composite(slab, u);
-            CoreConfig cc = dp.coreConfig();
-            const PerfResult &rs = sims[k * 2 + 0];
-            const PerfResult &rm = sims[k * 2 + 1];
-            PhasePerf out;
-
-            double scale =
-                run_ops[size_t(ph)] / double(rs.stats.macroOps);
-            out.timePerRun = float(secondsOf(rs.cycles) * scale);
-            out.energyPerRun = float(
-                coreEnergy(cc, rs.stats, is_vendor ? &vm : nullptr)
-                    .total() *
-                scale);
-
-            double scale_m =
-                run_ops[size_t(ph)] / double(rm.stats.macroOps);
-            out.timePerRunMp =
-                float(secondsOf(rm.cycles) * scale_m);
-            out.energyPerRunMp = float(
-                coreEnergy(cc, rm.stats, is_vendor ? &vm : nullptr)
-                    .total() *
-                scale_m);
-
-            cells[k] = out;
-        });
-    } else {
-        // Per-cell engines: one task per (uarch, phase) cell — solo
-        // and contended environments together, so exactly one task
-        // writes each cell and the result is thread-count
-        // independent.
-        parallelFor(cells.size(), [&](uint64_t k) {
-            checkCancel(cancel);
-            int u = int(k / phases);
-            int ph = int(k % phases);
-            DesignPoint dp =
-                is_vendor ? DesignPoint::vendorPoint(vm.kind, u)
-                          : DesignPoint::composite(slab, u);
-            CoreConfig cc = dp.coreConfig();
-            const Trace &trace = traces[size_t(ph)];
-            PhasePerf out;
-
-            PerfResult rs, rm;
-            if (replay) {
-                const ReplayTrace &pk = packed[size_t(ph)];
-                const auto &ss = streams[size_t(ph)];
-                rs = simulateCoreReplay(
-                    cc, pk, ss[size_t(sliceOf[size_t(u)][0])],
-                    timed, warm, solo);
-                rm = simulateCoreReplay(
-                    cc, pk, ss[size_t(sliceOf[size_t(u)][1])],
-                    timed, warm, mp);
-            } else {
-                rs = simulateCore(cc, trace, timed, warm, solo);
-                rm = simulateCore(cc, trace, timed, warm, mp);
-            }
-            nPerCell.fetch_add(2, std::memory_order_relaxed);
-            nWalks.fetch_add(2, std::memory_order_relaxed);
-
-            double scale =
-                run_ops[size_t(ph)] / double(rs.stats.macroOps);
-            out.timePerRun = float(secondsOf(rs.cycles) * scale);
-            out.energyPerRun = float(
-                coreEnergy(cc, rs.stats, is_vendor ? &vm : nullptr)
-                    .total() *
-                scale);
-
-            double scale_m =
-                run_ops[size_t(ph)] / double(rm.stats.macroOps);
-            out.timePerRunMp =
-                float(secondsOf(rm.cycles) * scale_m);
-            out.energyPerRunMp = float(
-                coreEnergy(cc, rm.stats, is_vendor ? &vm : nullptr)
-                    .total() *
-                scale_m);
-
-            cells[k] = out;
-        });
     }
+    auto coreOf = [&](int u) {
+        DesignPoint dp = is_vendor
+                             ? DesignPoint::vendorPoint(vm.kind, u)
+                             : DesignPoint::composite(slab, u);
+        return dp.coreConfig();
+    };
+
+    // Per-sim results, indexed (u*phases+ph)*2+env; a second pass
+    // folds them into PhasePerf so cells[] keeps its one-writer rule.
+    std::vector<PerfResult> sims(size_t(DesignPoint::kUarchCount) *
+                                 phases * 2);
+    parallelFor(tasks.size(), [&](uint64_t t) {
+        checkCancel(cancel);
+        const SimTask &st = tasks[t];
+        const StreamSlice &sl = slices[size_t(st.si)];
+        const std::vector<int> &mem = members[size_t(st.si)];
+        size_t g = st.end - st.begin;
+        std::vector<CoreConfig> ccs;
+        ccs.reserve(g);
+        for (size_t i = st.begin; i < st.end; i++)
+            ccs.push_back(coreOf(mem[i]));
+        auto slot = [&](size_t i) {
+            return (size_t(mem[st.begin + i]) * phases +
+                    size_t(st.ph)) *
+                       2 +
+                   size_t(sl.envIdx);
+        };
+        if (!replay) {
+            for (size_t i = 0; i < g; i++) {
+                sims[slot(i)] = simulateCore(
+                    ccs[i], traces[size_t(st.ph)], timed, warm,
+                    sl.env);
+            }
+            nPerCell.fetch_add(g, std::memory_order_relaxed);
+            nWalks.fetch_add(g, std::memory_order_relaxed);
+            return;
+        }
+        const ReplayTrace &pk = packed[size_t(st.ph)];
+        const StructuralStream &ss =
+            streams[size_t(st.ph)][size_t(st.si)];
+        if (g == 1) {
+            sims[slot(0)] = simulateCoreReplay(ccs[0], pk, ss, timed,
+                                               warm, sl.env);
+            nPerCell.fetch_add(1, std::memory_order_relaxed);
+            nWalks.fetch_add(1, std::memory_order_relaxed);
+            return;
+        }
+        std::vector<PerfResult> rs = simulateCoreBatch(
+            ccs.data(), g, pk, ss, timed, warm, sl.env);
+        for (size_t i = 0; i < g; i++)
+            sims[slot(i)] = rs[i];
+        nBatched.fetch_add(g, std::memory_order_relaxed);
+        nWalks.fetch_add(1, std::memory_order_relaxed);
+        nSaved.fetch_add(g - 1, std::memory_order_relaxed);
+    });
+
+    // Fold: seconds and joules per program run, solo and contended.
+    std::vector<PhasePerf> cells(size_t(DesignPoint::kUarchCount) *
+                                 phases);
+    parallelFor(cells.size(), [&](uint64_t k) {
+        checkCancel(cancel);
+        int u = int(k / phases);
+        int ph = int(k % phases);
+        CoreConfig cc = coreOf(u);
+        auto fold = [&](const PerfResult &r, float &time,
+                        float &energy) {
+            double scale =
+                run_ops[size_t(ph)] / double(r.stats.macroOps);
+            time = float(secondsOf(r.cycles) * scale);
+            energy = float(
+                coreEnergy(cc, r.stats, is_vendor ? &vm : nullptr)
+                    .total() *
+                scale);
+        };
+        PhasePerf out;
+        fold(sims[k * 2 + 0], out.timePerRun, out.energyPerRun);
+        fold(sims[k * 2 + 1], out.timePerRunMp, out.energyPerRunMp);
+        cells[k] = out;
+    });
 
     if (health) {
         health->cellsBatched +=

@@ -40,20 +40,24 @@ struct PhasePerf
     float energyPerRunMp = 0;
 };
 
-/** Which simulation engine computeSlabPerf runs its cells on. */
+/**
+ * Which simulation engine computeSlabPerf runs its cells on. Both
+ * share one cycle step (src/uarch/engine.hh) and give byte-identical
+ * tables; Live stays as the test oracle because it queries the live
+ * structural models instead of the memoized streams.
+ */
 enum class SlabEngine
 {
-    Auto,   ///< CISA_REPLAY + CISA_BATCH env knobs (default: Batch)
-    Live,   ///< simulateCore per cell (the seed path)
-    Replay, ///< packed traces + memoized structural streams, per cell
-    Batch,  ///< replay inputs, lockstep cell groups (uarch/batch.hh)
+    Live,  ///< simulateCore per cell on the live structural models
+    Batch, ///< memoized structural streams, lockstep cell groups
+    Auto = Batch, ///< the campaign's engine
 };
 
 /**
  * Engine-mode counters of the slab kernel: how many cell simulations
- * ran inside a lockstep batch vs on a per-cell path (replay, live,
- * or single-cell batch fallback), and how many trace walks that cost
- * vs saved (walksSaved = batched sims that shared another sim's
+ * ran inside a lockstep batch vs on a per-cell path (live, or a
+ * one-cell walk for a singleton chunk), and how many trace walks
+ * that cost vs saved (walksSaved = batched sims that shared another sim's
  * walk). Accumulated per computeSlabPerf call and, campaign-wide,
  * surfaced through Campaign::engineHealth() and the cisa-serve stats
  * endpoint.
@@ -75,7 +79,7 @@ struct EngineHealth
  * the process thread pool; results are bit-identical at any
  * CISA_THREADS because each cell is written by exactly one task and
  * nothing on the parallel path shares an RNG — and bit-identical
- * across SlabEngine choices, because the replay engine memoizes only
+ * across SlabEngine choices, because the batch engine memoizes only
  * timing-independent structural streams (see src/uarch/replay.hh).
  * Exposed outside Campaign so determinism tests and the campaign
  * bench can time the computation without going through the

@@ -4,20 +4,15 @@
  * memoized structural stream advances many timing configurations at
  * once.
  *
- * The per-cell replay engine (simulateCoreReplay) already reduced a
- * cell to pure cycle arithmetic over shared read-only inputs, but a
- * slab column still re-reads the ReplayTrace and StructuralStream —
- * and re-runs the per-step decode, cursor bookkeeping, and stats
- * accounting — once per cell. Every cell that shares a structural
- * slice consumes the *identical* step sequence, so that shared work
- * can be hoisted out of the per-cell loop entirely: one cursor set,
- * one decoded step, one stats update per (OoO, uop-cache, fusion)
- * combination, and a structure-of-arrays inner loop that touches
- * only per-cell cycle state. The walk is time-tiled, and on AVX-512
- * hosts the per-cell loop runs 16 cells per vector of 32-bit cycle
- * stamps whenever the walk's stamps provably fit 32 bits
- * (CISA_BATCH_SIMD=0 forces the portable scalar kernel). See
- * DESIGN.md §9 for the layout and the bit-identity argument.
+ * Every cell that shares a structural slice consumes the identical
+ * step sequence, so the per-step work that does not depend on the
+ * timing configuration happens once per walk: one cursor set, one
+ * decoded step, one stats update per (OoO, uop-cache, fusion)
+ * combination. Only the cycle step (engine_detail::stepLanes) runs
+ * per cell, over a lane type: 16 cells per vector of 32-bit stamps
+ * on AVX-512 hosts whenever the walk's stamps provably fit 32 bits,
+ * else one cell per 64-bit scalar lane. The walk is time-tiled. See
+ * DESIGN.md §9 for the layout and the bound.
  */
 
 #ifndef CISA_UARCH_BATCH_HH
@@ -37,9 +32,9 @@ namespace cisa
  * @p env) — cells may differ arbitrarily in timing-side parameters
  * (width, windows, FU counts, uop cache/fusion, in-order vs
  * out-of-order). Returns one PerfResult per cell, in input order,
- * byte-identical to what simulateCoreReplay (and the live engine)
- * would produce for each cell alone; panics on a slice or budget
- * mismatch, exactly like simulateCoreReplay.
+ * byte-identical to what simulateCore would produce for each cell
+ * alone; panics on a slice or budget mismatch, exactly like
+ * simulateCoreReplay.
  */
 std::vector<PerfResult> simulateCoreBatch(const CoreConfig *cells,
                                           size_t ncells,
@@ -48,6 +43,10 @@ std::vector<PerfResult> simulateCoreBatch(const CoreConfig *cells,
                                           uint64_t timed_uops,
                                           uint64_t warmup_uops,
                                           const RunEnv &env = {});
+
+/** Whether this CPU runs the AVX-512 lane (AVX-512 F, BW, DQ and
+ * VL). A walk takes it only if its stamps also fit 32 bits. */
+bool batchSimdEnabled();
 
 } // namespace cisa
 

@@ -382,130 +382,4 @@ buildStructuralStream(const CoreConfig &cfg, const RunEnv &env,
     return out;
 }
 
-namespace
-{
-
-using engine_detail::StepIn;
-
-/** Structural backend answering from a memoized stream. */
-struct ReplayStructural
-{
-    const StructuralStream &ss;
-    size_t step = 0;
-    uint8_t ev = 0;
-    size_t ifetchCur = 0;
-    size_t dloadCur = 0;
-    size_t fwdCur = 0;
-
-    explicit ReplayStructural(const StructuralStream &s) : ss(s) {}
-
-    void beginStep() { ev = ss.ev[step++]; }
-    void redirectFetch() {}
-
-    int
-    fetchAccess(const DynOp *, uint64_t)
-    {
-        if (!(ev & kEvIFetch))
-            return -1;
-        if (ev & kEvIFetchMiss)
-            return 1 + int(ss.ifetchExtra[ifetchCur++]);
-        return 1;
-    }
-
-    bool ucAccess(const DynOp *) { return ev & kEvUcHit; }
-
-    uint16_t
-    sbMatch(const DynOp *)
-    {
-        return (ev & kEvFwd) ? ss.fwdMask[fwdCur++] : 0;
-    }
-
-    uint64_t dataLoad(const DynOp *)
-    {
-        return ss.dloadExtra[dloadCur++];
-    }
-
-    void dataStore(const DynOp *) {}
-    void sbPush(const DynOp *, size_t) {}
-    bool branchAccess(const DynOp *) { return ev & kEvMispredict; }
-    bool btbAccess(const DynOp *) { return ev & kEvBtbMiss; }
-
-    void
-    snapshotMem(PerfStats &s, bool final) const
-    {
-        const MemSnap &m = final ? ss.fin : ss.warm;
-        s.l1iAccesses = m.l1iAccesses;
-        s.l1iMisses = m.l1iMisses;
-        s.l1dAccesses = m.l1dAccesses;
-        s.l1dMisses = m.l1dMisses;
-        s.l2Accesses = m.l2Accesses;
-        s.l2Misses = m.l2Misses;
-        s.memAccesses = m.memAccesses;
-    }
-};
-
-/** Step source reading the packed trace. */
-struct PackedSource
-{
-    const ReplayTrace &rt;
-    bool first = true;
-
-    explicit PackedSource(const ReplayTrace &r) : rt(r) {}
-
-    size_t size() const { return rt.size(); }
-
-    StepIn
-    get(size_t idx)
-    {
-        StepIn in;
-        in.bits = rt.bits[idx];
-        if (first) {
-            // The live engine has no previous op on step one.
-            in.bits &= uint16_t(~kOpFusableBranch);
-            first = false;
-        }
-        in.len = rt.len[idx];
-        in.uops = rt.uops[idx];
-        uint32_t b = rt.uopBegin[idx];
-        in.xu = rt.xuops.data() + b;
-        in.nxu = int(rt.uopBegin[idx + 1] - b);
-        in.lineId = rt.lineId[idx];
-        in.dop = nullptr;
-        return in;
-    }
-};
-
-} // namespace
-
-PerfResult
-simulateCoreReplay(const CoreConfig &cfg, const ReplayTrace &packed,
-                   const StructuralStream &stream,
-                   uint64_t timed_uops, uint64_t warmup_uops,
-                   const RunEnv &env)
-{
-    panic_if(packed.size() == 0, "empty packed trace");
-    panic_if(stream.key != structuralFingerprint(cfg.uarch, env),
-             "structural stream was built for a different "
-             "(config slice, environment)");
-    panic_if(!packed.complete &&
-                 warmup_uops + timed_uops > packed.maxSteps,
-             "packed trace built for %llu steps, need up to %llu",
-             (unsigned long long)packed.maxSteps,
-             (unsigned long long)(warmup_uops + timed_uops));
-
-    ReplayStructural str(stream);
-    PackedSource src(packed);
-    PerfResult res = engine_detail::runCore(cfg, str, src,
-                                            timed_uops, warmup_uops);
-
-    // The stream must have been generated with the same budgets: the
-    // replay must consume it exactly.
-    panic_if(str.step != stream.ev.size() ||
-                 str.ifetchCur != stream.ifetchExtra.size() ||
-                 str.dloadCur != stream.dloadExtra.size() ||
-                 str.fwdCur != stream.fwdMask.size(),
-             "structural stream not fully consumed: budget mismatch");
-    return res;
-}
-
 } // namespace cisa

@@ -346,9 +346,10 @@ StructuralStream buildStructuralStream(const CoreConfig &cfg,
 
 /**
  * Timing-only simulation over a packed trace and a memoized
- * structural stream. Bit-identical to simulateCore(cfg, trace, ...)
- * for the matching stream; panics if @p stream was built for a
- * different structural slice or a different step budget.
+ * structural stream: a one-cell simulateCoreBatch walk.
+ * Bit-identical to simulateCore(cfg, trace, ...) for the matching
+ * stream; panics if @p stream was built for a different structural
+ * slice or a different step budget.
  */
 PerfResult simulateCoreReplay(const CoreConfig &cfg,
                               const ReplayTrace &packed,

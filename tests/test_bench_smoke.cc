@@ -9,6 +9,8 @@
 
 #include <cstdlib>
 
+#include "testdir.hh"
+
 namespace
 {
 struct EnvSetup
@@ -17,7 +19,8 @@ struct EnvSetup
     {
         setenv("CISA_SIM_UOPS", "1200", 1);
         setenv("CISA_SIM_WARMUP", "300", 1);
-        setenv("CISA_DSE_CACHE", "/tmp/cisa_smoke_cache.bin", 1);
+        setenv("CISA_DSE_CACHE",
+               cisa::testPath("smoke_cache.bin").c_str(), 1);
         setenv("CISA_SEARCH_RESTARTS", "1", 1);
     }
 } env_setup;

@@ -14,6 +14,7 @@
 #include "common/serialize.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "testdir.hh"
 
 namespace cisa
 {
@@ -120,7 +121,7 @@ TEST(Table, NumbersFormat)
 
 TEST(Serialize, RoundTrip)
 {
-    std::string path = "/tmp/cisa_ser_test.bin";
+    std::string path = testPath("ser_test.bin");
     {
         BinWriter w(path);
         ASSERT_TRUE(w.ok());
@@ -148,7 +149,7 @@ TEST(Serialize, RoundTrip)
 
 TEST(Serialize, MissingFileNotOk)
 {
-    BinReader r("/tmp/definitely_missing_cisa_file.bin");
+    BinReader r(testPath("definitely_missing.bin"));
     EXPECT_FALSE(r.ok());
 }
 
@@ -157,7 +158,7 @@ TEST(Serialize, CorruptStringLengthRejectedWithoutAllocation)
     // A length header larger than the file must fail cleanly before
     // the allocator is asked for it — a flipped bit in an 8-byte
     // length is otherwise a multi-GiB allocation.
-    std::string path = "/tmp/cisa_ser_corrupt_str.bin";
+    std::string path = testPath("ser_corrupt_str.bin");
     {
         BinWriter w(path);
         w.u64(1ULL << 40); // claims a 1 TiB string in a tiny file
@@ -172,7 +173,7 @@ TEST(Serialize, CorruptStringLengthRejectedWithoutAllocation)
 
 TEST(Serialize, CorruptVectorLengthRejectedWithoutAllocation)
 {
-    std::string path = "/tmp/cisa_ser_corrupt_vec.bin";
+    std::string path = testPath("ser_corrupt_vec.bin");
     {
         BinWriter w(path);
         w.u64(1ULL << 28); // 2 GiB of doubles in a 16-byte file
@@ -189,7 +190,7 @@ TEST(Serialize, TruncatedPayloadAfterValidLength)
 {
     // Length says 5 elements but only 2 are on disk: the read fails
     // (error flag) instead of returning a silently short vector.
-    std::string path = "/tmp/cisa_ser_trunc_vec.bin";
+    std::string path = testPath("ser_trunc_vec.bin");
     {
         BinWriter w(path);
         w.u64(5);
@@ -273,20 +274,11 @@ TEST(Env, KnobsSurviveGarbageValues)
     }
 }
 
-TEST(Env, BatchKnobs)
+TEST(Env, BatchWidthKnob)
 {
-    // Defaults: batching on, 64-cell chunks.
-    unsetenv("CISA_BATCH");
+    // Default: 64-cell chunks.
     unsetenv("CISA_BATCH_WIDTH");
-    EXPECT_TRUE(batchEnabled());
     EXPECT_EQ(batchWidth(), 64);
-
-    setenv("CISA_BATCH", "0", 1);
-    EXPECT_FALSE(batchEnabled());
-    setenv("CISA_BATCH", "1", 1);
-    EXPECT_TRUE(batchEnabled());
-    setenv("CISA_BATCH", "garbage", 1);
-    EXPECT_TRUE(batchEnabled()); // malformed -> documented default
 
     setenv("CISA_BATCH_WIDTH", "4", 1);
     EXPECT_EQ(batchWidth(), 4);
@@ -297,18 +289,7 @@ TEST(Env, BatchKnobs)
     setenv("CISA_BATCH_WIDTH", "nope", 1);
     EXPECT_EQ(batchWidth(), 64);
 
-    // The vector-kernel gate: default on, 0 forces the scalar tile
-    // kernel (results are bit-identical either way).
-    unsetenv("CISA_BATCH_SIMD");
-    EXPECT_TRUE(batchSimdEnabled());
-    setenv("CISA_BATCH_SIMD", "0", 1);
-    EXPECT_FALSE(batchSimdEnabled());
-    setenv("CISA_BATCH_SIMD", "bogus", 1);
-    EXPECT_TRUE(batchSimdEnabled());
-
-    unsetenv("CISA_BATCH");
     unsetenv("CISA_BATCH_WIDTH");
-    unsetenv("CISA_BATCH_SIMD");
 }
 
 TEST(ByteCodec, RoundTrip)

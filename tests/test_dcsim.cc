@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "testdir.hh"
+
 // Must run before any Campaign::get() in this process. The tiny
 // budget keeps slab computation to seconds; the low parallel-batch
 // threshold makes even small test runs take the parallel scoring
@@ -23,11 +25,9 @@ struct EnvSetup
     {
         setenv("CISA_SIM_UOPS", "900", 1);
         setenv("CISA_SIM_WARMUP", "200", 1);
-        setenv("CISA_DSE_CACHE", "/tmp/cisa_dcsim_test_cache.bin",
-               1);
+        setenv("CISA_DSE_CACHE",
+               cisa::testPath("dcsim_test_cache.bin").c_str(), 1);
         setenv("CISA_DCSIM_PAR_BATCH", "4", 1);
-        std::remove("/tmp/cisa_dcsim_test_cache.bin");
-        std::remove("/tmp/cisa_dcsim_test_cache.bin.corrupt");
     }
 } env_setup;
 } // namespace
@@ -168,7 +168,7 @@ TEST(Dcsim, TraceFileMatchesHashAndCount)
 {
     DcsimConfig cfg = smallConfig();
     cfg.jobs = 40;
-    cfg.tracePath = "/tmp/cisa_dcsim_test_trace.txt";
+    cfg.tracePath = testPath("dcsim_test_trace.txt");
     std::remove(cfg.tracePath.c_str());
     PerfSource src;
     DcsimResult with_trace = runDcsim(cfg, src);

@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "testdir.hh"
+
 // Must run before any Campaign::get() in this process.
 namespace
 {
@@ -18,12 +20,11 @@ struct EnvSetup
     {
         setenv("CISA_SIM_UOPS", "1500", 1);
         setenv("CISA_SIM_WARMUP", "400", 1);
-        setenv("CISA_DSE_CACHE", "/tmp/cisa_test_cache.bin", 1);
+        // A fresh private directory: this run starts from a cold
+        // store that no other run can touch.
+        setenv("CISA_DSE_CACHE",
+               cisa::testPath("test_cache.bin").c_str(), 1);
         setenv("CISA_SEARCH_RESTARTS", "1", 1);
-        // Start from a cold store: a stale (or quarantined) file
-        // from a previous run must not feed this one.
-        std::remove("/tmp/cisa_test_cache.bin");
-        std::remove("/tmp/cisa_test_cache.bin.corrupt");
     }
 } env_setup;
 } // namespace
@@ -33,6 +34,7 @@ struct EnvSetup
 #include <cstring>
 #include <set>
 
+#include "common/hash.hh"
 #include "common/parallel.hh"
 #include "explore/campaign.hh"
 #include "explore/schedule.hh"
@@ -119,7 +121,7 @@ TEST(Campaign, BiggerCoreIsFasterSomewhere)
 TEST(Campaign, CachePersists)
 {
     Campaign::get().ensureSlab(x64Isa());
-    FILE *f = std::fopen("/tmp/cisa_test_cache.bin", "rb");
+    FILE *f = std::fopen(testPath("test_cache.bin").c_str(), "rb");
     ASSERT_NE(f, nullptr);
     std::fclose(f);
 }
@@ -164,21 +166,25 @@ sameCells(const std::vector<PhasePerf> &a,
 
 TEST(Campaign, EngineChoicesAreByteIdenticalAtAnyThreads)
 {
-    // One slab through every engine: the live reference, per-cell
-    // replay, and the batched lockstep engine must produce the same
-    // bytes — serially and on a 4-lane pool (each cell is written by
-    // exactly one task, so thread count must not matter).
-    std::vector<PhasePerf> live, replay, batch;
+    // One slab through both engines: the live reference and the
+    // batched lockstep engine must produce the same bytes — serially
+    // and on a 4-lane pool (each cell is written by exactly one task,
+    // so thread count must not matter).
+    std::vector<PhasePerf> live, batch;
     EngineHealth ehb;
     {
         ScopedThreadLimit serial(1);
         live = computeSlabPerf(x64Isa(), SlabEngine::Live);
-        replay = computeSlabPerf(x64Isa(), SlabEngine::Replay);
         batch = computeSlabPerf(x64Isa(), SlabEngine::Batch,
                                 nullptr, &ehb);
     }
-    EXPECT_TRUE(sameCells(live, replay));
     EXPECT_TRUE(sameCells(live, batch));
+    // Live and batch share one cycle step, so pin the slab's bytes
+    // too: this digest was recorded at this budget (1500/400) before
+    // the step was shared, when the engines were separate copies.
+    uint64_t digest =
+        fnv1a(live.data(), live.size() * sizeof(PhasePerf));
+    EXPECT_EQ(digest, 0xb01c9a6dcc99edcfULL) << std::hex << digest;
 
     // Engine accounting: every (uarch, phase, env) sim is either
     // batched or per-cell, and each saved walk came out of a batch.
@@ -200,23 +206,13 @@ TEST(Campaign, EngineChoicesAreByteIdenticalAtAnyThreads)
     EXPECT_EQ(eh4.walksDone, ehb.walksDone);
 }
 
-TEST(Campaign, BatchKnobsSteerAutoEngineAndKeepBytes)
+TEST(Campaign, BatchWidthKeepsBytes)
 {
-    // setenv is safe here: the knobs are read once on this thread at
-    // the top of computeSlabPerf, before any pool fan-out.
-    setenv("CISA_BATCH", "0", 1);
-    EngineHealth off_h;
-    std::vector<PhasePerf> off = computeSlabPerf(
-        x64Isa(), SlabEngine::Auto, nullptr, &off_h);
-    EXPECT_EQ(off_h.cellsBatched, 0u);
-    EXPECT_GT(off_h.cellsPerCell, 0u);
-
-    setenv("CISA_BATCH", "1", 1);
-    EngineHealth on_h;
-    std::vector<PhasePerf> on = computeSlabPerf(
-        x64Isa(), SlabEngine::Auto, nullptr, &on_h);
-    EXPECT_GT(on_h.cellsBatched, 0u);
-    EXPECT_TRUE(sameCells(off, on));
+    // setenv is safe here: the knob is read once on this thread at
+    // the top of stage 2, before any pool fan-out.
+    EngineHealth wide_h;
+    std::vector<PhasePerf> wide = computeSlabPerf(
+        x64Isa(), SlabEngine::Auto, nullptr, &wide_h);
 
     // A tiny chunk width forces more (smaller) walks but must not
     // change a single byte.
@@ -224,10 +220,9 @@ TEST(Campaign, BatchKnobsSteerAutoEngineAndKeepBytes)
     EngineHealth narrow_h;
     std::vector<PhasePerf> narrow = computeSlabPerf(
         x64Isa(), SlabEngine::Batch, nullptr, &narrow_h);
-    EXPECT_TRUE(sameCells(off, narrow));
-    EXPECT_GT(narrow_h.walksDone, on_h.walksDone);
+    EXPECT_TRUE(sameCells(wide, narrow));
+    EXPECT_GT(narrow_h.walksDone, wide_h.walksDone);
 
-    unsetenv("CISA_BATCH");
     unsetenv("CISA_BATCH_WIDTH");
 }
 

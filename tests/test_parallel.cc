@@ -11,6 +11,8 @@
 
 #include <cstdlib>
 
+#include "testdir.hh"
+
 // Must run before any Campaign::get() in this process.
 namespace
 {
@@ -20,7 +22,8 @@ struct EnvSetup
     {
         setenv("CISA_SIM_UOPS", "700", 1);
         setenv("CISA_SIM_WARMUP", "150", 1);
-        setenv("CISA_DSE_CACHE", "/tmp/cisa_parallel_cache.bin", 1);
+        setenv("CISA_DSE_CACHE",
+               cisa::testPath("parallel_cache.bin").c_str(), 1);
         // Exercise the pool even where ctest didn't set the knob;
         // never shrink an explicit setting.
         setenv("CISA_THREADS", "4", 0);
@@ -157,22 +160,22 @@ TEST(CampaignDeterminism, SlabIsBitIdenticalAcrossThreadCounts)
 }
 
 /**
- * The acceptance property of the replay engine: the memoized
+ * The acceptance property of the batch engine: the memoized
  * structural-stream path must reproduce the live per-cell path byte
  * for byte over a whole slab — every (uarch, phase, environment)
  * cell of a full ISA — on the full thread pool.
  */
-TEST(CampaignDeterminism, ReplayEngineSlabIsBitIdenticalToLive)
+TEST(CampaignDeterminism, BatchEngineSlabIsBitIdenticalToLive)
 {
     // One composite slab and one vendor slab (vendor traces are
     // code-size-adjusted before packing, a path worth covering).
     for (int slab : {FeatureSet::thumbLike().id(), 27}) {
         std::vector<PhasePerf> live =
             computeSlabPerf(slab, SlabEngine::Live);
-        std::vector<PhasePerf> replay =
-            computeSlabPerf(slab, SlabEngine::Replay);
-        ASSERT_EQ(live.size(), replay.size());
-        EXPECT_EQ(std::memcmp(live.data(), replay.data(),
+        std::vector<PhasePerf> batch =
+            computeSlabPerf(slab, SlabEngine::Batch);
+        ASSERT_EQ(live.size(), batch.size());
+        EXPECT_EQ(std::memcmp(live.data(), batch.data(),
                               live.size() * sizeof(PhasePerf)),
                   0)
             << "slab " << slab;

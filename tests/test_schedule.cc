@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "testdir.hh"
+
 // Must run before any Campaign::get() in this process.
 namespace
 {
@@ -20,10 +22,8 @@ struct EnvSetup
     {
         setenv("CISA_SIM_UOPS", "1500", 1);
         setenv("CISA_SIM_WARMUP", "400", 1);
-        setenv("CISA_DSE_CACHE", "/tmp/cisa_sched_test_cache.bin",
-               1);
-        std::remove("/tmp/cisa_sched_test_cache.bin");
-        std::remove("/tmp/cisa_sched_test_cache.bin.corrupt");
+        setenv("CISA_DSE_CACHE",
+               cisa::testPath("sched_test_cache.bin").c_str(), 1);
     }
 } env_setup;
 } // namespace

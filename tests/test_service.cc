@@ -17,6 +17,8 @@
 
 #include <cstdlib>
 
+#include "testdir.hh"
+
 // Must run before any Campaign::get() in this process.
 namespace
 {
@@ -26,7 +28,8 @@ struct EnvSetup
     {
         setenv("CISA_SIM_UOPS", "600", 1);
         setenv("CISA_SIM_WARMUP", "100", 1);
-        setenv("CISA_DSE_CACHE", "/tmp/cisa_service_cache.bin", 1);
+        setenv("CISA_DSE_CACHE",
+               cisa::testPath("service_cache.bin").c_str(), 1);
         setenv("CISA_SEARCH_RESTARTS", "1", 1);
         setenv("CISA_THREADS", "4", 0);
     }
@@ -927,8 +930,7 @@ TEST(Executor, StatsServedInlineWhenSaturated)
 std::string
 testSocketPath(const char *tag)
 {
-    return std::string("/tmp/cisa_serve_test_") + tag + "_" +
-           std::to_string(getpid()) + ".sock";
+    return testPath(std::string("serve_") + tag + ".sock");
 }
 
 TEST(ServerE2E, ConcurrentClientsByteIdenticalAndCoalesced)

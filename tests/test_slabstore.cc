@@ -13,22 +13,22 @@
 #include <cstdlib>
 #include <string>
 
+#include "testdir.hh"
+
 // Must run before any Campaign::get() in this process: the campaign
 // tests below bind the singleton to a private store with a reduced
-// budget, and stale files from a previous run must not leak in.
+// budget.
 namespace
 {
-constexpr const char *kCampCache = "/tmp/cisa_slabstore_camp.bin";
+const std::string kCampCache = cisa::testPath("slabstore_camp.bin");
 struct EnvSetup
 {
     EnvSetup()
     {
         setenv("CISA_SIM_UOPS", "1500", 1);
         setenv("CISA_SIM_WARMUP", "400", 1);
-        setenv("CISA_DSE_CACHE", kCampCache, 1);
+        setenv("CISA_DSE_CACHE", kCampCache.c_str(), 1);
         setenv("CISA_SEARCH_RESTARTS", "1", 1);
-        std::remove(kCampCache);
-        std::remove((std::string(kCampCache) + ".corrupt").c_str());
     }
 } env_setup;
 } // namespace
@@ -65,8 +65,7 @@ constexpr size_t kRecBytes = SlabStore::kHeaderBytes + 4 * kVals +
 std::string
 tmpPath(const std::string &name)
 {
-    return "/tmp/cisa_slabstore_" + name + "_" +
-           std::to_string(::getpid());
+    return testPath("slabstore_" + name);
 }
 
 SlabStore

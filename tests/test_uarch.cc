@@ -11,6 +11,7 @@
 
 #include <cstring>
 
+#include "common/hash.hh"
 #include "common/rng.hh"
 #include "compiler/compiler.hh"
 #include "uarch/batch.hh"
@@ -598,8 +599,8 @@ TEST(Batch, LockstepMatchesPerCellBitForBit)
     // The acceptance property of the batched engine: one lockstep
     // walk over a mixed group (in-order and out-of-order cells, uop
     // cache and fusion on/off, different widths and windows) must
-    // reproduce the per-cell replay engine — and thus the live
-    // engine — byte for byte, in both run environments.
+    // reproduce each cell's one-cell walk and the live engine byte
+    // for byte, in both run environments.
     FeatureSet fs = FeatureSet::x86_64();
     Trace tr = traceFor("sjeng", fs);
     const uint64_t timed = 9000, warm = 2000;
@@ -688,15 +689,80 @@ TEST(Batch, CellOrderIsIrrelevant)
     }
 }
 
-TEST(Batch, ScalarKernelMatchesVectorKernel)
+/** FNV-1a over a PerfResult's cycles and every PerfStats counter. */
+uint64_t
+resultDigest(const PerfResult &r, uint64_t h)
 {
-    // The AVX-512 kernel (taken by default on capable CPUs when the
-    // 32-bit stamp bound holds) and the portable scalar tile kernel
-    // must agree bit for bit; CISA_BATCH_SIMD=0 forces the scalar
-    // path. On hosts without AVX-512 both runs take the scalar
-    // kernel and the test degenerates to determinism.
+    static_assert(std::is_trivially_copyable_v<PerfStats>);
+    h = fnv1a(&r.cycles, sizeof(r.cycles), h);
+    return fnv1a(&r.stats, sizeof(PerfStats), h);
+}
+
+TEST(Golden, PerfResultsArePinned)
+{
+    // The live and batched engines share one cycle step, so a
+    // live-vs-batch comparison cannot catch a change that moves both
+    // alike. These digests pin the full PerfResults of the slice
+    // family at both run environments, on simulateCore and on
+    // simulateCoreBatch. They were recorded before the step was
+    // shared, when Engine::step, the scalar tile kernel and the
+    // AVX-512 tile kernel were three separate copies that agreed;
+    // change them only with a deliberate timing-model change.
+    struct Case
+    {
+        const char *bench;
+        FeatureSet fs;
+        uint64_t timed, warm;
+        uint64_t digest;
+    };
+    const Case cases[] = {
+        {"sjeng", FeatureSet::x86_64(), 9000, 2000,
+         0x72b75f6ca1a37e09ULL},
+        {"mcf", FeatureSet::x86_64(), 8000, 0,
+         0x735b81b49537b2b5ULL},
+        {"gobmk", FeatureSet::thumbLike(), 7000, 1500,
+         0xa089d321093383ddULL},
+        {"astar", FeatureSet::alphaLike(), 6000, 1500,
+         0x08d4955d0eeba649ULL},
+    };
+    std::vector<MicroArchConfig> family = sliceFamily();
+    for (const Case &c : cases) {
+        Trace tr = traceFor(c.bench, c.fs);
+        ReplayTrace rt = ReplayTrace::build(tr, c.timed + c.warm);
+        std::vector<CoreConfig> cells;
+        for (const MicroArchConfig &ua : family)
+            cells.push_back({c.fs, ua});
+        uint64_t live_h = kFnv1aBasis, batch_h = kFnv1aBasis;
+        for (const RunEnv &env : {RunEnv{}, RunEnv{0.25, 1.30}}) {
+            StructuralStream ss = buildStructuralStream(
+                cells[0], env, tr, rt, c.timed, c.warm);
+            std::vector<PerfResult> batch =
+                simulateCoreBatch(cells.data(), cells.size(), rt, ss,
+                                  c.timed, c.warm, env);
+            for (size_t i = 0; i < cells.size(); i++) {
+                live_h = resultDigest(
+                    simulateCore(cells[i], tr, c.timed, c.warm, env),
+                    live_h);
+                batch_h = resultDigest(batch[i], batch_h);
+            }
+        }
+        EXPECT_EQ(live_h, c.digest)
+            << c.bench << " live " << std::hex << live_h;
+        EXPECT_EQ(batch_h, c.digest)
+            << c.bench << " batch " << std::hex << batch_h;
+    }
+}
+
+TEST(Batch, OverBoundWalkRunsTheScalarLane)
+{
+    // A walk whose cycle stamps might not fit 32 bits must take the
+    // 64-bit scalar lane on any host. Raise one hierarchy load
+    // latency of a real stream near 2^32: the per-step advance then
+    // exceeds the 2^20 bound, every cell must still equal its
+    // one-cell run, and the cycle counts must carry past 2^32 (a
+    // 32-bit lane would wrap).
     FeatureSet fs = FeatureSet::x86_64();
-    Trace tr = traceFor("gobmk", fs);
+    Trace tr = traceFor("mcf", fs);
     const uint64_t timed = 7000, warm = 1500;
     ReplayTrace rt = ReplayTrace::build(tr, timed + warm);
     std::vector<MicroArchConfig> family = sliceFamily();
@@ -705,15 +771,20 @@ TEST(Batch, ScalarKernelMatchesVectorKernel)
         cells.push_back({fs, ua});
     StructuralStream ss = buildStructuralStream(cells[0], {}, tr,
                                                 rt, timed, warm);
+    ASSERT_GT(ss.dloadExtra.size(), 4u);
+    const uint32_t huge = 0xFFFFFF00u;
+    ss.dloadExtra[ss.dloadExtra.size() * 3 / 4] = huge;
+    ss.maxDloadExtra = huge;
 
-    std::vector<PerfResult> vec = simulateCoreBatch(
+    std::vector<PerfResult> batch = simulateCoreBatch(
         cells.data(), cells.size(), rt, ss, timed, warm);
-    setenv("CISA_BATCH_SIMD", "0", 1);
-    std::vector<PerfResult> sca = simulateCoreBatch(
-        cells.data(), cells.size(), rt, ss, timed, warm);
-    unsetenv("CISA_BATCH_SIMD");
-    for (size_t i = 0; i < cells.size(); i++)
-        EXPECT_TRUE(sameResult(vec[i], sca[i])) << family[i].name();
+    for (size_t i = 0; i < cells.size(); i++) {
+        PerfResult one =
+            simulateCoreReplay(cells[i], rt, ss, timed, warm);
+        EXPECT_TRUE(sameResult(batch[i], one)) << family[i].name();
+        EXPECT_GT(batch[i].cycles, uint64_t(UINT32_MAX))
+            << family[i].name();
+    }
 }
 
 TEST(UConfig, FingerprintSeparatesL1Associativity)
