@@ -139,13 +139,13 @@ main(int argc, char **argv)
     // key (the rendered table; its cache entry doesn't exist yet)
     // dedup into fewer computations.
     uint64_t coalesce_before =
-        server.executor().snapshot().totalCoalesced();
+        server.executor().snapshot().total().coalesced;
     loopbackRate(opts.address, 8, 1, [&](Client &c, int, int) {
         std::string table;
         c.tableOf(slab, &table);
     });
     uint64_t coalesced =
-        server.executor().snapshot().totalCoalesced() -
+        server.executor().snapshot().total().coalesced -
         coalesce_before;
 
     StatsSnap stats = server.executor().snapshot();

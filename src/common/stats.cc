@@ -1,23 +1,11 @@
 #include "common/stats.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
 
 namespace cisa
 {
-
-double
-mean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double x : xs)
-        s += x;
-    return s / double(xs.size());
-}
 
 double
 geomean(const std::vector<double> &xs)
@@ -32,77 +20,35 @@ geomean(const std::vector<double> &xs)
     return std::exp(s / double(xs.size()));
 }
 
-double
-harmonicMean(const std::vector<double> &xs)
+uint64_t
+Log2Histogram::total() const
 {
-    if (xs.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double x : xs) {
-        panic_if(x <= 0.0, "harmonic mean of non-positive value %f", x);
-        s += 1.0 / x;
-    }
-    return double(xs.size()) / s;
-}
-
-double
-stddev(const std::vector<double> &xs)
-{
-    if (xs.size() < 2)
-        return 0.0;
-    double m = mean(xs);
-    double acc = 0.0;
-    for (double x : xs)
-        acc += (x - m) * (x - m);
-    return std::sqrt(acc / double(xs.size()));
+    uint64_t n = 0;
+    for (uint64_t c : counts)
+        n += c;
+    return n;
 }
 
 void
-Accum::add(double x)
+Log2Histogram::merge(const Log2Histogram &o)
 {
-    if (n_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    n_++;
-    sum_ += x;
+    for (size_t b = 0; b < kBuckets; b++)
+        counts[b] += o.counts[b];
 }
 
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0)
+uint64_t
+Log2Histogram::percentile(double p) const
 {
-    panic_if(buckets < 1, "histogram needs at least one bucket");
-    panic_if(hi <= lo, "histogram range is empty");
-}
-
-void
-Histogram::add(double x)
-{
-    double f = (x - lo_) / (hi_ - lo_);
-    long i = long(f * double(counts_.size()));
-    i = std::clamp(i, 0L, long(counts_.size()) - 1);
-    counts_[size_t(i)]++;
-    total_++;
-}
-
-double
-Histogram::percentile(double p) const
-{
-    if (total_ == 0)
-        return lo_;
-    uint64_t need = uint64_t(std::ceil(p * double(total_)));
-    need = std::max<uint64_t>(need, 1);
+    uint64_t n = total();
+    if (!n)
+        return 0;
+    p = std::clamp(p, 0.0, 1.0);
+    uint64_t rank = uint64_t(double(n - 1) * p) + 1;
     uint64_t seen = 0;
-    for (size_t i = 0; i < counts_.size(); i++) {
-        seen += counts_[i];
-        if (seen >= need) {
-            return lo_ +
-                   (hi_ - lo_) * double(i) / double(counts_.size());
-        }
-    }
-    return hi_;
+    size_t b = 0;
+    while ((seen += counts[b]) < rank)
+        b++;
+    return uint64_t(1) << b;
 }
 
 } // namespace cisa

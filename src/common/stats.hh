@@ -1,14 +1,16 @@
 /**
  * @file
- * Small statistics helpers: summary math (mean/geomean), a streaming
- * accumulator, and a fixed-bucket histogram. These are deliberately
- * lighter than gem5's stats package: results here flow into report
- * tables rather than a stats dump.
+ * Small statistics helpers: the geometric mean of report tables, and
+ * the log2-bucketed histogram behind every latency percentile the
+ * service and the datacenter simulator report.
  */
 
 #ifndef CISA_COMMON_STATS_HH
 #define CISA_COMMON_STATS_HH
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -16,69 +18,42 @@
 namespace cisa
 {
 
-/** Arithmetic mean; 0 for an empty set. */
-double mean(const std::vector<double> &xs);
-
 /** Geometric mean; 0 for an empty set. Values must be positive. */
 double geomean(const std::vector<double> &xs);
 
-/** Harmonic mean; 0 for an empty set. Values must be positive. */
-double harmonicMean(const std::vector<double> &xs);
-
-/** Population standard deviation; 0 for fewer than two samples. */
-double stddev(const std::vector<double> &xs);
-
 /**
- * Streaming accumulator for count/sum/min/max/mean without storing
- * the samples.
+ * Histogram with power-of-two buckets: bucket i holds samples in
+ * [2^(i-1), 2^i) (bucket 0 holds 0), and the last bucket also holds
+ * every larger sample. 40 buckets cover ~12 days of microseconds.
+ * Two histograms merge exactly by adding buckets, so a percentile of
+ * a merge equals the percentile of the union of the samples.
  */
-class Accum
+struct Log2Histogram
 {
-  public:
-    /** Add one sample. */
-    void add(double x);
+    static constexpr size_t kBuckets = 40;
 
-    uint64_t count() const { return n_; }
-    double sum() const { return sum_; }
-    double mean() const { return n_ ? sum_ / double(n_) : 0.0; }
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
+    std::array<uint64_t, kBuckets> counts{};
 
-  private:
-    uint64_t n_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
+    /** Bucket index of sample @p x. */
+    static size_t
+    bucketOf(uint64_t x)
+    {
+        return std::min<size_t>(std::bit_width(x), kBuckets - 1);
+    }
 
-/**
- * Histogram with uniform buckets over [lo, hi); samples outside the
- * range clamp into the first/last bucket.
- */
-class Histogram
-{
-  public:
-    /** @param buckets number of buckets, must be >= 1. */
-    Histogram(double lo, double hi, size_t buckets);
+    void add(uint64_t x) { counts[bucketOf(x)]++; }
 
-    /** Record one sample. */
-    void add(double x);
+    uint64_t total() const;
 
-    /** Count in bucket i. */
-    uint64_t bucket(size_t i) const { return counts_[i]; }
+    /** Add @p o's buckets into this one. */
+    void merge(const Log2Histogram &o);
 
-    size_t buckets() const { return counts_.size(); }
-    uint64_t total() const { return total_; }
+    /** The p-quantile, p clamped to [0, 1]: the upper edge 2^i of the
+     * bucket holding the sample of rank floor((n-1)p)+1; 0 when
+     * empty. */
+    uint64_t percentile(double p) const;
 
-    /** Smallest sample value x such that cdf(x) >= p, approximated by
-     * bucket lower edges. */
-    double percentile(double p) const;
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<uint64_t> counts_;
-    uint64_t total_ = 0;
+    bool operator==(const Log2Histogram &) const = default;
 };
 
 } // namespace cisa

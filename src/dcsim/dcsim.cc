@@ -13,6 +13,7 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "common/stats.hh"
 #include "explore/schedule.hh"
 #include "migration/cost.hh"
 #include "power/calib.hh"
@@ -74,23 +75,6 @@ wallNs()
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
-}
-
-/** Approximate percentile from a log2-bucketed histogram: the upper
- * bound of the bucket holding the rank. */
-uint64_t
-histPercentile(const uint64_t (&h)[64], uint64_t total, double p)
-{
-    if (total == 0)
-        return 0;
-    uint64_t target = uint64_t(p * double(total - 1)) + 1;
-    uint64_t cum = 0;
-    for (int b = 0; b < 64; b++) {
-        cum += h[b];
-        if (cum >= target)
-            return b == 0 ? 1 : (uint64_t(1) << b);
-    }
-    return ~uint64_t(0);
 }
 
 class Engine
@@ -191,8 +175,7 @@ class Engine
     std::vector<uint64_t> busyTicks_; ///< per class
     std::vector<uint64_t> sojourns_;
     uint64_t traceHash_ = kFnv1aBasis;
-    uint64_t placeHist_[64] = {};
-    uint64_t placeCount_ = 0;
+    Log2Histogram placeHist_; ///< per-placement scoring ns
     FILE *trace_ = nullptr;
 };
 
@@ -334,8 +317,7 @@ Engine::scoreAndCommit(uint64_t t)
 
     for (size_t i = 0; i < n; i++) {
         uint64_t lat = std::max<uint32_t>(1, latBuf_[i]);
-        placeHist_[63 - __builtin_clzll(lat)]++;
-        placeCount_++;
+        placeHist_.add(lat);
         commit(t, reqs_[i], rankBuf_.data() + i * nc);
     }
     reqs_.clear();
@@ -501,8 +483,8 @@ Engine::finalize(uint64_t wall_ns, const PerfSource::Stats &s0,
     r.wallSeconds = double(wall_ns) * 1e-9;
     r.wallJobsPerSec =
         r.wallSeconds > 0 ? double(jobsDone_) / r.wallSeconds : 0;
-    r.placeP50Ns = histPercentile(placeHist_, placeCount_, 0.50);
-    r.placeP99Ns = histPercentile(placeHist_, placeCount_, 0.99);
+    r.placeP50Ns = placeHist_.percentile(0.50);
+    r.placeP99Ns = placeHist_.percentile(0.99);
     r.remoteCalls = s1.remoteCalls - s0.remoteCalls;
     r.fetchSeconds = double(s1.fetchNs - s0.fetchNs) * 1e-9;
     return r;

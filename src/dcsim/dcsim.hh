@@ -103,7 +103,8 @@ struct DcsimResult
     double slabHitRate = 0;
     double wallSeconds = 0;
     double wallJobsPerSec = 0;
-    uint64_t placeP50Ns = 0; ///< per-placement scoring latency
+    uint64_t placeP50Ns = 0; ///< per-placement scoring latency, the
+                             ///< upper edge of its log2 bucket
     uint64_t placeP99Ns = 0;
     uint64_t remoteCalls = 0;
     double fetchSeconds = 0; ///< wall time fetching slabs

@@ -79,7 +79,14 @@ Executor::snapshot() const
         running = running_;
         draining = draining_;
     }
-    StatsSnap s = metrics_.snapshot(depth, running, draining);
+    StatsSnap s = metrics_.snapshot();
+    s.queueDepth = depth;
+    s.inFlight = running;
+    s.draining = draining ? 1 : 0;
+    // Fault-injection counters ride in every snapshot so the fleet
+    // roll-up can prove a chaos run's faults actually landed; empty
+    // (and free) when the plane was never armed.
+    s.faults = faultSnapshot();
     // Surface the durable slab store's health and the slab engine's
     // mode counters without instantiating the campaign as a side
     // effect of a stats probe.
@@ -202,7 +209,7 @@ Executor::wait(const JobPtr &job, uint32_t deadline_ms)
         auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                       Clock::now() - job->submitTime)
                       .count();
-        m.latency.add(uint64_t(std::max<int64_t>(us, 0)));
+        m.addLatency(uint64_t(std::max<int64_t>(us, 0)));
         break;
       }
       case Status::Deadline:

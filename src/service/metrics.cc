@@ -1,6 +1,8 @@
 #include "service/metrics.hh"
 
 #include <algorithm>
+#include <tuple>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -8,396 +10,403 @@
 namespace cisa
 {
 
-uint64_t
-LatencyHisto::percentileUs(double p) const
+namespace
 {
-    uint64_t tot = total();
-    if (!tot)
-        return 0;
-    if (p < 0)
-        p = 0;
-    if (p > 1)
-        p = 1;
-    uint64_t target = uint64_t(double(tot - 1) * p) + 1;
-    uint64_t seen = 0;
-    for (int b = 0; b < kBuckets; b++) {
-        seen += counts_[size_t(b)].load(std::memory_order_relaxed);
-        if (seen >= target)
-            return b == 0 ? 1 : uint64_t(1) << b;
+
+/** How a fleet roll-up folds one worker's value into the total. */
+enum class Fold : uint8_t
+{
+    Sum,
+    Max,
+    Or
+};
+
+/**
+ * One row of a field table: the stat's member, its fold rule, the
+ * render line it joins (nested rows inherit their parent's) and its
+ * label there — an endpoint stat's label is its column — and the
+ * live counter a snapshot reads it from (none for stats another
+ * layer fills in).
+ */
+template <class S, class T, class Live = std::nullptr_t>
+struct Field
+{
+    T S::*member;
+    Fold fold;
+    const char *group;
+    const char *label;
+    Live live = nullptr;
+};
+
+using Endpoints = std::array<EndpointSnap, size_t(ReqType::kCount)>;
+using Faults = std::vector<FaultCounterSnap>;
+
+constexpr std::tuple kEndpointFields{
+    Field{&EndpointSnap::requests, Fold::Sum, "", "req",
+          &EndpointMetrics::requests},
+    Field{&EndpointSnap::ok, Fold::Sum, "", "ok", &EndpointMetrics::ok},
+    Field{&EndpointSnap::coalesced, Fold::Sum, "", "coal",
+          &EndpointMetrics::coalesced},
+    Field{&EndpointSnap::cacheHits, Fold::Sum, "", "cache",
+          &EndpointMetrics::cacheHits},
+    Field{&EndpointSnap::stale, Fold::Sum, "", "stale",
+          &EndpointMetrics::stale},
+    Field{&EndpointSnap::busy, Fold::Sum, "", "busy",
+          &EndpointMetrics::busy},
+    Field{&EndpointSnap::deadline, Fold::Sum, "", "ddl",
+          &EndpointMetrics::deadline},
+    Field{&EndpointSnap::errors, Fold::Sum, "", "err",
+          &EndpointMetrics::errors},
+    Field{&EndpointSnap::bytesIn, Fold::Sum, "", "B in",
+          &EndpointMetrics::bytesIn},
+    Field{&EndpointSnap::bytesOut, Fold::Sum, "", "B out",
+          &EndpointMetrics::bytesOut},
+    Field{&EndpointSnap::latency, Fold::Sum, "", "us",
+          &EndpointMetrics::latency},
+};
+
+constexpr std::tuple kStoreFields{
+    Field{&StoreHealth::loaded, Fold::Sum, "", "loaded"},
+    Field{&StoreHealth::salvaged, Fold::Sum, "", "salvaged"},
+    Field{&StoreHealth::stale, Fold::Sum, "", "stale"},
+    Field{&StoreHealth::appended, Fold::Sum, "", "appended"},
+    Field{&StoreHealth::appendedBytes, Fold::Sum, "", "B appended"},
+    Field{&StoreHealth::fileBytes, Fold::Max, "", "B on disk"},
+    Field{&StoreHealth::lockWaits, Fold::Sum, "", "lock waits"},
+    Field{&StoreHealth::lockWaitUs, Fold::Sum, "", "us lock-waited"},
+    Field{&StoreHealth::quarantined, Fold::Sum, "", "quarantined"},
+};
+
+constexpr std::tuple kEngineFields{
+    Field{&EngineHealth::cellsBatched, Fold::Sum, "", "cells batched"},
+    Field{&EngineHealth::cellsPerCell, Fold::Sum, "", "per-cell"},
+    Field{&EngineHealth::walksDone, Fold::Sum, "", "walks done"},
+    Field{&EngineHealth::walksSaved, Fold::Sum, "", "walks saved"},
+};
+
+// chaos_soak.sh parses the breakers, supervisor and fault lines:
+// keep their labels and order.
+constexpr std::tuple kStatsFields{
+    Field{&StatsSnap::ep, Fold::Sum, "", "", &ServiceMetrics::ep},
+    Field{&StatsSnap::queueDepth, Fold::Sum, "queue", "queued"},
+    Field{&StatsSnap::queuePeak, Fold::Sum, "queue", "peak",
+          &ServiceMetrics::queuePeak},
+    Field{&StatsSnap::inFlight, Fold::Sum, "queue", "in flight"},
+    Field{&StatsSnap::draining, Fold::Or, "queue", "draining"},
+    Field{&StatsSnap::liveConns, Fold::Sum, "transport", "live conns",
+          &ServiceMetrics::liveConns},
+    Field{&StatsSnap::connsAccepted, Fold::Sum, "transport", "accepted",
+          &ServiceMetrics::connsAccepted},
+    Field{&StatsSnap::connsRejected, Fold::Sum, "transport", "rejected",
+          &ServiceMetrics::connsRejected},
+    Field{&StatsSnap::workersUp, Fold::Sum, "fleet", "workers up"},
+    Field{&StatsSnap::workersKnown, Fold::Sum, "fleet", "workers known"},
+    Field{&StatsSnap::reroutes, Fold::Sum, "fleet", "reroutes"},
+    Field{&StatsSnap::breakerOpenNow, Fold::Sum, "breakers", "open now"},
+    Field{&StatsSnap::breakerTrips, Fold::Sum, "breakers", "trips"},
+    Field{&StatsSnap::breakerProbes, Fold::Sum, "breakers", "probes"},
+    Field{&StatsSnap::breakerRecoveries, Fold::Sum, "breakers",
+          "recoveries"},
+    Field{&StatsSnap::deadlineShed, Fold::Sum, "breakers",
+          "deadline-shed"},
+    Field{&StatsSnap::workersSupervised, Fold::Sum, "supervisor",
+          "workers"},
+    Field{&StatsSnap::supervisorRestarts, Fold::Sum, "supervisor",
+          "restarts"},
+    Field{&StatsSnap::supervisorCrashLoops, Fold::Sum, "supervisor",
+          "crash-looping"},
+    Field{&StatsSnap::faults, Fold::Sum, "", ""},
+    Field{&StatsSnap::store, Fold::Sum, "slab store", ""},
+    Field{&StatsSnap::engine, Fold::Sum, "slab engine", ""},
+};
+
+// clang-format off
+constexpr const auto &tableOf(const EndpointSnap *) { return kEndpointFields; }
+constexpr const auto &tableOf(const StoreHealth *)  { return kStoreFields; }
+constexpr const auto &tableOf(const EngineHealth *) { return kEngineFields; }
+constexpr const auto &tableOf(const StatsSnap *)    { return kStatsFields; }
+// clang-format on
+
+/** Call @p f on every row of @p S's table, in table (= wire) order. */
+template <class S, class F>
+void
+forEachField(F &&f)
+{
+    std::apply([&](const auto &...row) { (f(row), ...); },
+               tableOf(static_cast<const S *>(nullptr)));
+}
+
+template <class T>
+constexpr bool kIsCounter = std::is_same_v<T, uint64_t>;
+template <class T>
+constexpr bool kIsHisto = std::is_same_v<T, Log2Histogram>;
+template <class T>
+constexpr bool kIsFaults = std::is_same_v<T, Faults>;
+template <class T>
+constexpr bool kIsEndpoints = std::is_same_v<T, Endpoints>;
+
+// Wire format, in table order: a counter is a u64; a histogram is
+// its kBuckets bucket counts as u64; the endpoints are a u32 count
+// (must be ReqType::kCount) then each endpoint; the fault counters
+// are a u32 count (at most kFaultSiteCount) then (site, checks,
+// fired) each.
+template <class T>
+void
+put(ByteWriter &w, const T &v)
+{
+    if constexpr (kIsCounter<T>) {
+        w.u64(v);
+    } else if constexpr (kIsHisto<T>) {
+        for (uint64_t c : v.counts)
+            w.u64(c);
+    } else if constexpr (kIsFaults<T>) {
+        w.u32(uint32_t(v.size()));
+        for (const FaultCounterSnap &f : v) {
+            w.str(f.site);
+            w.u64(f.checks);
+            w.u64(f.fired);
+        }
+    } else if constexpr (kIsEndpoints<T>) {
+        w.u32(uint32_t(v.size()));
+        for (const EndpointSnap &e : v)
+            put(w, e);
+    } else {
+        forEachField<T>([&](const auto &f) { put(w, v.*f.member); });
     }
-    return uint64_t(1) << (kBuckets - 1);
 }
 
-uint64_t
-StatsSnap::totalRequests() const
+template <class T>
+bool
+get(ByteReader &r, T &v)
 {
-    uint64_t n = 0;
-    for (const EndpointSnap &e : ep)
-        n += e.requests;
-    return n;
+    if constexpr (kIsCounter<T>) {
+        v = r.u64();
+    } else if constexpr (kIsHisto<T>) {
+        for (uint64_t &c : v.counts)
+            c = r.u64();
+    } else if constexpr (kIsFaults<T>) {
+        uint32_t n = r.u32();
+        if (!r.ok() || n > uint32_t(kFaultSiteCount))
+            return false;
+        v.resize(n);
+        for (FaultCounterSnap &f : v) {
+            f.site = r.str();
+            f.checks = r.u64();
+            f.fired = r.u64();
+        }
+    } else if constexpr (kIsEndpoints<T>) {
+        if (r.u32() != v.size())
+            return false;
+        for (EndpointSnap &e : v)
+            if (!get(r, e))
+                return false;
+    } else {
+        bool good = true;
+        forEachField<T>(
+            [&](const auto &f) { good = good && get(r, v.*f.member); });
+        return good;
+    }
+    return r.ok();
 }
 
-uint64_t
-StatsSnap::totalCoalesced() const
+template <class T>
+void
+fold(T &a, const T &b, Fold rule)
 {
-    uint64_t n = 0;
-    for (const EndpointSnap &e : ep)
-        n += e.coalesced;
-    return n;
+    if constexpr (kIsCounter<T>) {
+        switch (rule) {
+          case Fold::Sum: a += b; break;
+          case Fold::Max: a = std::max(a, b); break;
+          case Fold::Or:  a |= b; break;
+        }
+    } else if constexpr (kIsHisto<T>) {
+        a.merge(b);
+    } else if constexpr (kIsFaults<T>) {
+        for (const FaultCounterSnap &f : b) {
+            auto mine = std::find_if(
+                a.begin(), a.end(),
+                [&](const FaultCounterSnap &m) { return m.site == f.site; });
+            if (mine == a.end()) {
+                a.push_back(f);
+            } else {
+                mine->checks += f.checks;
+                mine->fired += f.fired;
+            }
+        }
+    } else if constexpr (kIsEndpoints<T>) {
+        for (size_t i = 0; i < a.size(); i++)
+            fold(a[i], b[i], rule);
+    } else {
+        forEachField<T>([&](const auto &f) {
+            fold(a.*f.member, b.*f.member, f.fold);
+        });
+    }
 }
 
-uint64_t
-StatsSnap::totalCacheHits() const
+/** Relaxed read of @p live into @p v, through the rows that name a
+ * live source. */
+template <class T, class L>
+void
+load(T &v, const L &live)
 {
-    uint64_t n = 0;
-    for (const EndpointSnap &e : ep)
-        n += e.cacheHits;
-    return n;
+    if constexpr (kIsCounter<T>) {
+        v = live.load(std::memory_order_relaxed);
+    } else if constexpr (kIsHisto<T>) {
+        for (size_t b = 0; b < v.counts.size(); b++)
+            v.counts[b] = live[b].load(std::memory_order_relaxed);
+    } else if constexpr (kIsEndpoints<T>) {
+        for (size_t i = 0; i < v.size(); i++)
+            load(v[i], live[i]);
+    } else {
+        forEachField<T>([&](const auto &f) {
+            if constexpr (!std::is_same_v<decltype(f.live),
+                                          std::nullptr_t>)
+                load(v.*f.member, live.*f.live);
+        });
+    }
 }
 
-uint64_t
-StatsSnap::totalBytesIn() const
+EndpointSnap
+sum(const Endpoints &eps)
 {
-    uint64_t n = 0;
-    for (const EndpointSnap &e : ep)
-        n += e.bytesIn;
-    return n;
+    EndpointSnap t;
+    for (const EndpointSnap &e : eps)
+        fold(t, e, Fold::Sum);
+    return t;
 }
 
-uint64_t
-StatsSnap::totalBytesOut() const
+/** Render state: the text so far and the `group: value label, ...`
+ * line being built, which is kept only if a value in it is non-zero. */
+struct Render
 {
-    uint64_t n = 0;
-    for (const EndpointSnap &e : ep)
-        n += e.bytesOut;
-    return n;
+    std::string text;
+    std::string group;
+    std::string line;
+    bool any = false;
+
+    void
+    flush()
+    {
+        if (any)
+            text += group + ": " + line + "\n";
+        line.clear();
+        any = false;
+    }
+
+    void
+    add(const std::string &g, const char *label, uint64_t v)
+    {
+        if (g != group)
+            flush();
+        group = g;
+        line += strfmt("%s%llu %s", line.empty() ? "" : ", ",
+                       (unsigned long long)v, label);
+        any = any || v != 0;
+    }
+};
+
+/** One endpoint's table cells, with the header they go under. */
+void
+endpointRow(Table &t, const char *name, const EndpointSnap &e,
+            bool header)
+{
+    std::vector<std::string> head{"endpoint"}, row{name};
+    forEachField<EndpointSnap>([&](const auto &f) {
+        const auto &v = e.*f.member;
+        if constexpr (kIsHisto<std::decay_t<decltype(v)>>) {
+            head.push_back(strfmt("p50%s", f.label));
+            head.push_back(strfmt("p99%s", f.label));
+            row.push_back(Table::num(int64_t(v.percentile(0.50))));
+            row.push_back(Table::num(int64_t(v.percentile(0.99))));
+        } else {
+            head.push_back(f.label);
+            row.push_back(Table::num(int64_t(v)));
+        }
+    });
+    if (header)
+        t.header(std::move(head));
+    else
+        t.row(std::move(row));
+}
+
+template <class T>
+void
+show(Render &out, const std::string &group, const char *label,
+     const T &v)
+{
+    if constexpr (kIsCounter<T>) {
+        out.add(group, label, v);
+    } else if constexpr (kIsFaults<T>) {
+        out.flush();
+        for (const FaultCounterSnap &f : v)
+            out.text += strfmt("fault %s: %llu checks, %llu fired\n",
+                               f.site.c_str(),
+                               (unsigned long long)f.checks,
+                               (unsigned long long)f.fired);
+    } else if constexpr (kIsEndpoints<T>) {
+        Table t("cisa-serve stats");
+        endpointRow(t, "", EndpointSnap{}, true);
+        for (size_t i = 0; i < v.size(); i++)
+            if (v[i] != EndpointSnap{})
+                endpointRow(t, reqTypeName(ReqType(i)), v[i], false);
+        endpointRow(t, "total", sum(v), false);
+        out.text += t.str();
+    } else {
+        forEachField<T>([&](const auto &f) {
+            show(out, *f.group ? f.group : group, f.label, v.*f.member);
+        });
+    }
+}
+
+} // namespace
+
+EndpointSnap
+StatsSnap::total() const
+{
+    EndpointSnap t;
+    forEachField<StatsSnap>([&](const auto &f) {
+        if constexpr (kIsEndpoints<std::decay_t<decltype(this->*f.member)>>)
+            t = sum(this->*f.member);
+    });
+    return t;
 }
 
 void
 StatsSnap::merge(const StatsSnap &w)
 {
-    for (size_t i = 0; i < ep.size(); i++) {
-        EndpointSnap &a = ep[i];
-        const EndpointSnap &b = w.ep[i];
-        a.requests += b.requests;
-        a.ok += b.ok;
-        a.coalesced += b.coalesced;
-        a.cacheHits += b.cacheHits;
-        a.stale += b.stale;
-        a.busy += b.busy;
-        a.deadline += b.deadline;
-        a.errors += b.errors;
-        a.bytesIn += b.bytesIn;
-        a.bytesOut += b.bytesOut;
-        a.latCount += b.latCount;
-        a.p50Us = std::max(a.p50Us, b.p50Us);
-        a.p99Us = std::max(a.p99Us, b.p99Us);
-    }
-    queueDepth += w.queueDepth;
-    queuePeak += w.queuePeak;
-    inFlight += w.inFlight;
-    draining |= w.draining;
-    liveConns += w.liveConns;
-    connsAccepted += w.connsAccepted;
-    connsRejected += w.connsRejected;
-    reroutes += w.reroutes;
-    workersUp += w.workersUp;
-    workersKnown += w.workersKnown;
-    breakerTrips += w.breakerTrips;
-    breakerProbes += w.breakerProbes;
-    breakerRecoveries += w.breakerRecoveries;
-    breakerOpenNow += w.breakerOpenNow;
-    deadlineShed += w.deadlineShed;
-    workersSupervised += w.workersSupervised;
-    supervisorRestarts += w.supervisorRestarts;
-    supervisorCrashLoops += w.supervisorCrashLoops;
-    for (const FaultCounterSnap &f : w.faults) {
-        bool found = false;
-        for (FaultCounterSnap &mine : faults) {
-            if (mine.site == f.site) {
-                mine.checks += f.checks;
-                mine.fired += f.fired;
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            faults.push_back(f);
-    }
-    store.loaded += w.store.loaded;
-    store.salvaged += w.store.salvaged;
-    store.stale += w.store.stale;
-    store.appended += w.store.appended;
-    store.appendedBytes += w.store.appendedBytes;
-    store.fileBytes = std::max(store.fileBytes, w.store.fileBytes);
-    store.lockWaits += w.store.lockWaits;
-    store.lockWaitUs += w.store.lockWaitUs;
-    store.quarantined += w.store.quarantined;
-    engine.cellsBatched += w.engine.cellsBatched;
-    engine.cellsPerCell += w.engine.cellsPerCell;
-    engine.walksDone += w.engine.walksDone;
-    engine.walksSaved += w.engine.walksSaved;
+    fold(*this, w, Fold::Sum);
 }
 
 std::string
 StatsSnap::render() const
 {
-    Table t(strfmt("cisa-serve stats (queue %llu, peak %llu, "
-                   "in-flight %llu%s)",
-                   (unsigned long long)queueDepth,
-                   (unsigned long long)queuePeak,
-                   (unsigned long long)inFlight,
-                   draining ? ", draining" : ""));
-    t.header({"endpoint", "req", "ok", "coal", "cache", "stale",
-              "busy", "ddl", "err", "kbin", "kbout", "p50us",
-              "p99us"});
-    for (size_t i = 0; i < ep.size(); i++) {
-        const EndpointSnap &e = ep[i];
-        if (!e.requests)
-            continue;
-        t.row({reqTypeName(ReqType(i)), Table::num(int64_t(e.requests)),
-               Table::num(int64_t(e.ok)),
-               Table::num(int64_t(e.coalesced)),
-               Table::num(int64_t(e.cacheHits)),
-               Table::num(int64_t(e.stale)),
-               Table::num(int64_t(e.busy)),
-               Table::num(int64_t(e.deadline)),
-               Table::num(int64_t(e.errors)),
-               Table::num(int64_t(e.bytesIn >> 10)),
-               Table::num(int64_t(e.bytesOut >> 10)),
-               Table::num(int64_t(e.p50Us)),
-               Table::num(int64_t(e.p99Us))});
-    }
-    std::string body = t.str();
-    if (connsAccepted || connsRejected) {
-        body += strfmt(
-            "transport: %llu live conns, %llu accepted, "
-            "%llu rejected, %llu B in, %llu B out\n",
-            (unsigned long long)liveConns,
-            (unsigned long long)connsAccepted,
-            (unsigned long long)connsRejected,
-            (unsigned long long)totalBytesIn(),
-            (unsigned long long)totalBytesOut());
-    }
-    if (workersKnown) {
-        body += strfmt("fleet: %llu/%llu workers up, %llu reroutes\n",
-                       (unsigned long long)workersUp,
-                       (unsigned long long)workersKnown,
-                       (unsigned long long)reroutes);
-    }
-    if (breakerTrips || breakerProbes || breakerRecoveries ||
-        breakerOpenNow || deadlineShed) {
-        body += strfmt(
-            "breakers: %llu open now, %llu trips, %llu probes, "
-            "%llu recoveries, %llu deadline-shed\n",
-            (unsigned long long)breakerOpenNow,
-            (unsigned long long)breakerTrips,
-            (unsigned long long)breakerProbes,
-            (unsigned long long)breakerRecoveries,
-            (unsigned long long)deadlineShed);
-    }
-    if (workersSupervised || supervisorRestarts ||
-        supervisorCrashLoops) {
-        body += strfmt(
-            "supervisor: %llu workers, %llu restarts, "
-            "%llu crash-looping\n",
-            (unsigned long long)workersSupervised,
-            (unsigned long long)supervisorRestarts,
-            (unsigned long long)supervisorCrashLoops);
-    }
-    for (const FaultCounterSnap &f : faults) {
-        body += strfmt("fault %s: %llu checks, %llu fired\n",
-                       f.site.c_str(), (unsigned long long)f.checks,
-                       (unsigned long long)f.fired);
-    }
-    if (store.fileBytes || store.loaded || store.appended ||
-        store.salvaged || store.stale || store.quarantined) {
-        body += strfmt(
-            "slab store: %llu loaded, %llu salvaged, %llu stale, "
-            "%llu appended (%llu B), %llu B on disk, "
-            "%llu lock waits (%llu us), %llu quarantined\n",
-            (unsigned long long)store.loaded,
-            (unsigned long long)store.salvaged,
-            (unsigned long long)store.stale,
-            (unsigned long long)store.appended,
-            (unsigned long long)store.appendedBytes,
-            (unsigned long long)store.fileBytes,
-            (unsigned long long)store.lockWaits,
-            (unsigned long long)store.lockWaitUs,
-            (unsigned long long)store.quarantined);
-    }
-    if (engine.cellsBatched || engine.cellsPerCell ||
-        engine.walksDone || engine.walksSaved) {
-        body += strfmt(
-            "slab engine: %llu cells batched, %llu per-cell, "
-            "%llu walks done, %llu walks saved\n",
-            (unsigned long long)engine.cellsBatched,
-            (unsigned long long)engine.cellsPerCell,
-            (unsigned long long)engine.walksDone,
-            (unsigned long long)engine.walksSaved);
-    }
-    return body;
+    Render out;
+    show(out, "", "", *this);
+    out.flush();
+    return out.text;
 }
 
 void
 StatsSnap::encode(ByteWriter &w) const
 {
-    w.u32(uint32_t(ep.size()));
-    for (const EndpointSnap &e : ep) {
-        w.u64(e.requests);
-        w.u64(e.ok);
-        w.u64(e.coalesced);
-        w.u64(e.cacheHits);
-        w.u64(e.stale);
-        w.u64(e.busy);
-        w.u64(e.deadline);
-        w.u64(e.errors);
-        w.u64(e.bytesIn);
-        w.u64(e.bytesOut);
-        w.u64(e.latCount);
-        w.u64(e.p50Us);
-        w.u64(e.p99Us);
-    }
-    w.u64(queueDepth);
-    w.u64(queuePeak);
-    w.u64(inFlight);
-    w.u8(draining);
-    w.u64(liveConns);
-    w.u64(connsAccepted);
-    w.u64(connsRejected);
-    w.u64(reroutes);
-    w.u64(workersUp);
-    w.u64(workersKnown);
-    w.u64(store.loaded);
-    w.u64(store.salvaged);
-    w.u64(store.stale);
-    w.u64(store.appended);
-    w.u64(store.appendedBytes);
-    w.u64(store.fileBytes);
-    w.u64(store.lockWaits);
-    w.u64(store.lockWaitUs);
-    w.u64(store.quarantined);
-    w.u64(engine.cellsBatched);
-    w.u64(engine.cellsPerCell);
-    w.u64(engine.walksDone);
-    w.u64(engine.walksSaved);
-    w.u64(breakerTrips);
-    w.u64(breakerProbes);
-    w.u64(breakerRecoveries);
-    w.u64(breakerOpenNow);
-    w.u64(deadlineShed);
-    w.u64(workersSupervised);
-    w.u64(supervisorRestarts);
-    w.u64(supervisorCrashLoops);
-    w.u32(uint32_t(faults.size()));
-    for (const FaultCounterSnap &f : faults) {
-        w.str(f.site);
-        w.u64(f.checks);
-        w.u64(f.fired);
-    }
+    put(w, *this);
 }
 
 bool
 StatsSnap::decode(ByteReader &r, StatsSnap *out)
 {
     StatsSnap s;
-    uint32_t n = r.u32();
-    if (!r.ok() || n != s.ep.size())
-        return false;
-    for (EndpointSnap &e : s.ep) {
-        e.requests = r.u64();
-        e.ok = r.u64();
-        e.coalesced = r.u64();
-        e.cacheHits = r.u64();
-        e.stale = r.u64();
-        e.busy = r.u64();
-        e.deadline = r.u64();
-        e.errors = r.u64();
-        e.bytesIn = r.u64();
-        e.bytesOut = r.u64();
-        e.latCount = r.u64();
-        e.p50Us = r.u64();
-        e.p99Us = r.u64();
-    }
-    s.queueDepth = r.u64();
-    s.queuePeak = r.u64();
-    s.inFlight = r.u64();
-    s.draining = r.u8();
-    s.liveConns = r.u64();
-    s.connsAccepted = r.u64();
-    s.connsRejected = r.u64();
-    s.reroutes = r.u64();
-    s.workersUp = r.u64();
-    s.workersKnown = r.u64();
-    s.store.loaded = r.u64();
-    s.store.salvaged = r.u64();
-    s.store.stale = r.u64();
-    s.store.appended = r.u64();
-    s.store.appendedBytes = r.u64();
-    s.store.fileBytes = r.u64();
-    s.store.lockWaits = r.u64();
-    s.store.lockWaitUs = r.u64();
-    s.store.quarantined = r.u64();
-    s.engine.cellsBatched = r.u64();
-    s.engine.cellsPerCell = r.u64();
-    s.engine.walksDone = r.u64();
-    s.engine.walksSaved = r.u64();
-    s.breakerTrips = r.u64();
-    s.breakerProbes = r.u64();
-    s.breakerRecoveries = r.u64();
-    s.breakerOpenNow = r.u64();
-    s.deadlineShed = r.u64();
-    s.workersSupervised = r.u64();
-    s.supervisorRestarts = r.u64();
-    s.supervisorCrashLoops = r.u64();
-    uint32_t nf = r.u32();
-    if (!r.ok() || nf > uint32_t(kFaultSiteCount))
-        return false;
-    s.faults.resize(nf);
-    for (FaultCounterSnap &f : s.faults) {
-        f.site = r.str();
-        f.checks = r.u64();
-        f.fired = r.u64();
-    }
-    if (!r.ok())
+    if (!get(r, s))
         return false;
     *out = s;
     return true;
 }
 
 StatsSnap
-ServiceMetrics::snapshot(uint64_t queue_depth, uint64_t in_flight,
-                         bool draining) const
+ServiceMetrics::snapshot() const
 {
     StatsSnap s;
-    for (size_t i = 0; i < ep_.size(); i++) {
-        const EndpointMetrics &m = ep_[i];
-        EndpointSnap &e = s.ep[i];
-        e.requests = m.requests.load(std::memory_order_relaxed);
-        e.ok = m.ok.load(std::memory_order_relaxed);
-        e.coalesced = m.coalesced.load(std::memory_order_relaxed);
-        e.cacheHits = m.cacheHits.load(std::memory_order_relaxed);
-        e.stale = m.stale.load(std::memory_order_relaxed);
-        e.busy = m.busy.load(std::memory_order_relaxed);
-        e.deadline = m.deadline.load(std::memory_order_relaxed);
-        e.errors = m.errors.load(std::memory_order_relaxed);
-        e.bytesIn = m.bytesIn.load(std::memory_order_relaxed);
-        e.bytesOut = m.bytesOut.load(std::memory_order_relaxed);
-        e.latCount = m.latency.total();
-        e.p50Us = m.latency.percentileUs(0.50);
-        e.p99Us = m.latency.percentileUs(0.99);
-    }
-    s.queueDepth = queue_depth;
-    s.queuePeak = queuePeak_.load(std::memory_order_relaxed);
-    s.inFlight = in_flight;
-    s.draining = draining ? 1 : 0;
-    s.liveConns = liveConns_.load(std::memory_order_relaxed);
-    s.connsAccepted = connsAccepted_.load(std::memory_order_relaxed);
-    s.connsRejected = connsRejected_.load(std::memory_order_relaxed);
-    // Fault-injection counters ride in every snapshot so the fleet
-    // roll-up can prove a chaos run's faults actually landed; empty
-    // (and free) when the plane was never armed.
-    s.faults = faultSnapshot();
+    load(s, *this);
     return s;
 }
 

@@ -1,13 +1,19 @@
 /**
  * @file
  * Per-endpoint observability for cisa-serve: lock-free request
- * counters and log-bucketed latency histograms, snapshotted (and
+ * counters and log2-bucketed latency histograms, snapshotted (and
  * wire-encoded) by the `stats` endpoint.
  *
  * All mutators are single atomic increments so the hot path never
  * takes a lock; a snapshot is a relaxed read of every counter, which
  * is allowed to tear across counters (stats are advisory) but never
  * within one.
+ *
+ * Each snapshot struct below has one field table in metrics.cc: a
+ * row per stat with its fold rule (sum, max or or) and render label,
+ * plus the live counter it is read from. Encode, decode, merge,
+ * snapshot, the totals and render all walk those tables, so a new
+ * stat is one struct member and one table row.
  */
 
 #ifndef CISA_SERVICE_METRICS_HH
@@ -20,48 +26,13 @@
 #include <vector>
 
 #include "common/faultinject.hh"
+#include "common/stats.hh"
 #include "explore/campaign.hh"
 #include "explore/slabstore.hh"
 #include "service/request.hh"
 
 namespace cisa
 {
-
-/**
- * Latency histogram with power-of-two microsecond buckets: bucket i
- * holds samples in [2^(i-1), 2^i) us (bucket 0 is < 1 us). 40
- * buckets cover ~12 days, enough for any request.
- */
-class LatencyHisto
-{
-  public:
-    static constexpr int kBuckets = 40;
-
-    void
-    add(uint64_t us)
-    {
-        int b = 0;
-        while (us > 0 && b < kBuckets - 1) {
-            us >>= 1;
-            b++;
-        }
-        counts_[size_t(b)].fetch_add(1, std::memory_order_relaxed);
-        total_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    uint64_t
-    total() const
-    {
-        return total_.load(std::memory_order_relaxed);
-    }
-
-    /** Approximate p-quantile in microseconds (bucket upper edge). */
-    uint64_t percentileUs(double p) const;
-
-  private:
-    std::array<std::atomic<uint64_t>, kBuckets> counts_{};
-    std::atomic<uint64_t> total_{0};
-};
 
 /** Live counters of one endpoint. */
 struct EndpointMetrics
@@ -76,7 +47,17 @@ struct EndpointMetrics
     std::atomic<uint64_t> errors{0};    ///< handler failure/bad req
     std::atomic<uint64_t> bytesIn{0};   ///< request wire bytes
     std::atomic<uint64_t> bytesOut{0};  ///< response wire bytes
-    LatencyHisto latency;               ///< submit-to-response, Ok only
+    /** Submit-to-response microseconds of Ok requests, bucketed by
+     * Log2Histogram::bucketOf. */
+    std::array<std::atomic<uint64_t>, Log2Histogram::kBuckets>
+        latency{};
+
+    void
+    addLatency(uint64_t us)
+    {
+        latency[Log2Histogram::bucketOf(us)].fetch_add(
+            1, std::memory_order_relaxed);
+    }
 };
 
 /** Point-in-time copy of one endpoint's counters. */
@@ -92,9 +73,11 @@ struct EndpointSnap
     uint64_t errors = 0;
     uint64_t bytesIn = 0;
     uint64_t bytesOut = 0;
-    uint64_t latCount = 0;
-    uint64_t p50Us = 0;
-    uint64_t p99Us = 0;
+    /** Latency buckets; p50/p99 are computed from them wherever they
+     * are shown, so merged snapshots give exact fleet percentiles. */
+    Log2Histogram latency;
+
+    bool operator==(const EndpointSnap &) const = default;
 };
 
 /** Point-in-time copy of the whole service's metrics. */
@@ -104,7 +87,7 @@ struct StatsSnap
     uint64_t queueDepth = 0; ///< queued (not running) right now
     uint64_t queuePeak = 0;  ///< high-water mark of queueDepth
     uint64_t inFlight = 0;   ///< running right now
-    uint8_t draining = 0;
+    uint64_t draining = 0;   ///< 1 while the executor drains
 
     /** Transport-level connection accounting (the server's accept
      * loop, or the router's client-facing side). */
@@ -147,47 +130,53 @@ struct StatsSnap
      * same campaign; all-zero until it computes a slab. */
     EngineHealth engine{};
 
-    /** Totals across endpoints. */
-    uint64_t totalRequests() const;
-    uint64_t totalCoalesced() const;
-    uint64_t totalCacheHits() const;
-    uint64_t totalBytesIn() const;
-    uint64_t totalBytesOut() const;
+    /** All endpoints folded into one. */
+    EndpointSnap total() const;
+    uint64_t totalRequests() const { return total().requests; }
+    uint64_t totalCacheHits() const { return total().cacheHits; }
 
     /**
-     * Fold one worker's snapshot into this fleet roll-up: counters
-     * and byte totals add; latency percentiles take the worst
-     * worker (histograms aren't mergeable from percentiles alone);
-     * draining ORs. Store fileBytes takes the max — the fleet
-     * shares one slab-store file, so adding per-worker views would
-     * multiply-count the same bytes.
+     * Fold one worker's snapshot into this fleet roll-up, each field
+     * by its table's rule: counters, byte totals and latency buckets
+     * add (so merged percentiles are exact), draining ORs, and store
+     * fileBytes takes the max — the fleet shares one slab-store
+     * file, so adding per-worker views would multiply-count the same
+     * bytes. Fault counters merge by site.
      */
     void merge(const StatsSnap &w);
 
-    /** Rendered ASCII table (one row per endpoint). */
+    /** Rendered ASCII table (one row per endpoint) and one
+     * `group: value label, ...` line per non-zero stat group. */
     std::string render() const;
 
     void encode(ByteWriter &w) const;
     static bool decode(ByteReader &r, StatsSnap *out);
 };
 
-/** The live metrics of one executor. */
-class ServiceMetrics
+/** The live metrics of one executor. The gauges the executor owns
+ * (queue depth, in-flight, draining), the fault plane and the
+ * campaign health are filled in by Executor::snapshot. */
+struct ServiceMetrics
 {
-  public:
+    std::array<EndpointMetrics, size_t(ReqType::kCount)> ep{};
+    std::atomic<uint64_t> queuePeak{0};
+    std::atomic<uint64_t> liveConns{0};
+    std::atomic<uint64_t> connsAccepted{0};
+    std::atomic<uint64_t> connsRejected{0};
+
     EndpointMetrics &
     at(ReqType t)
     {
-        return ep_[size_t(t)];
+        return ep[size_t(t)];
     }
 
     /** Record a new queued-depth observation (keeps the peak). */
     void
     observeQueueDepth(uint64_t depth)
     {
-        uint64_t prev = queuePeak_.load(std::memory_order_relaxed);
+        uint64_t prev = queuePeak.load(std::memory_order_relaxed);
         while (prev < depth &&
-               !queuePeak_.compare_exchange_weak(
+               !queuePeak.compare_exchange_weak(
                    prev, depth, std::memory_order_relaxed)) {
         }
     }
@@ -195,31 +184,24 @@ class ServiceMetrics
     void
     connAccepted()
     {
-        liveConns_.fetch_add(1, std::memory_order_relaxed);
-        connsAccepted_.fetch_add(1, std::memory_order_relaxed);
+        liveConns.fetch_add(1, std::memory_order_relaxed);
+        connsAccepted.fetch_add(1, std::memory_order_relaxed);
     }
 
     void
     connClosed()
     {
-        liveConns_.fetch_sub(1, std::memory_order_relaxed);
+        liveConns.fetch_sub(1, std::memory_order_relaxed);
     }
 
     void
     connRejected()
     {
-        connsRejected_.fetch_add(1, std::memory_order_relaxed);
+        connsRejected.fetch_add(1, std::memory_order_relaxed);
     }
 
-    StatsSnap snapshot(uint64_t queue_depth, uint64_t in_flight,
-                       bool draining) const;
-
-  private:
-    std::array<EndpointMetrics, size_t(ReqType::kCount)> ep_{};
-    std::atomic<uint64_t> queuePeak_{0};
-    std::atomic<uint64_t> liveConns_{0};
-    std::atomic<uint64_t> connsAccepted_{0};
-    std::atomic<uint64_t> connsRejected_{0};
+    /** Relaxed read of every live counter this struct holds. */
+    StatsSnap snapshot() const;
 };
 
 } // namespace cisa

@@ -556,12 +556,10 @@ Router::fleetStats()
         FrameKind::Request,
         encodeRequestEnvelope(Request::stats(), 0));
     StatsSnap out{};
-    uint64_t up = 0;
     for (size_t wi = 0; wi < workers_.size(); wi++) {
-        if (workers_[wi]->up.load(std::memory_order_relaxed))
-            up++;
-        else
-            continue; // don't block the stats path on a dead worker
+        // Don't block the stats path on a dead worker.
+        if (!workers_[wi]->up.load(std::memory_order_relaxed))
+            continue;
         std::vector<uint8_t> respWire;
         if (!exchange(wi, statsWire, &respWire))
             continue;
@@ -576,36 +574,29 @@ Router::fleetStats()
         if (StatsSnap::decode(br, &s))
             out.merge(s);
     }
-    // Recount after the exchanges: one may have flipped a flag.
-    up = 0;
-    for (auto &w : workers_)
+    // The router's own counters, and its fault counters (net.connect
+    // etc. fire here too), join the roll-up the same way a worker's
+    // do. Recount after the exchanges: one may have flipped a flag.
+    StatsSnap self{};
+    self.workersKnown = workers_.size();
+    for (auto &w : workers_) {
         if (w->up.load(std::memory_order_relaxed))
-            up++;
-    out.workersKnown = workers_.size();
-    out.workersUp = up;
-    out.reroutes += reroutes_.load(std::memory_order_relaxed);
-    out.connsAccepted +=
-        connsAccepted_.load(std::memory_order_relaxed);
-    out.connsRejected +=
-        connsRejected_.load(std::memory_order_relaxed);
-    out.breakerTrips +=
-        breakerTrips_.load(std::memory_order_relaxed);
-    out.breakerProbes +=
-        breakerProbes_.load(std::memory_order_relaxed);
-    out.breakerRecoveries +=
-        breakerRecoveries_.load(std::memory_order_relaxed);
-    out.deadlineShed +=
-        deadlineShed_.load(std::memory_order_relaxed);
-    for (auto &w : workers_)
+            self.workersUp++;
         if (w->breaker.load(std::memory_order_relaxed) != 0)
-            out.breakerOpenNow++;
+            self.breakerOpenNow++;
+    }
+    self.reroutes = reroutes_.load(std::memory_order_relaxed);
+    self.connsAccepted = connsAccepted_.load(std::memory_order_relaxed);
+    self.connsRejected = connsRejected_.load(std::memory_order_relaxed);
+    self.breakerTrips = breakerTrips_.load(std::memory_order_relaxed);
+    self.breakerProbes = breakerProbes_.load(std::memory_order_relaxed);
+    self.breakerRecoveries =
+        breakerRecoveries_.load(std::memory_order_relaxed);
+    self.deadlineShed = deadlineShed_.load(std::memory_order_relaxed);
     {
         std::lock_guard<std::mutex> lk(connMu_);
-        out.liveConns += connCount_;
+        self.liveConns = connCount_;
     }
-    // The router's own fault counters (net.connect etc. fire here
-    // too) join the roll-up the same way a worker's do.
-    StatsSnap self{};
     self.faults = faultSnapshot();
     out.merge(self);
     if (opts_.statsAugment)

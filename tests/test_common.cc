@@ -70,35 +70,64 @@ TEST(Rng, ForkIndependence)
     EXPECT_LT(same, 4);
 }
 
-TEST(Stats, Means)
+TEST(Stats, Geomean)
 {
-    std::vector<double> xs = {1.0, 2.0, 4.0};
-    EXPECT_NEAR(mean(xs), 7.0 / 3.0, 1e-12);
-    EXPECT_NEAR(geomean(xs), 2.0, 1e-12);
-    EXPECT_NEAR(harmonicMean(xs), 3.0 / 1.75, 1e-12);
-    EXPECT_EQ(mean({}), 0.0);
+    EXPECT_NEAR(geomean({1.0, 2.0, 4.0}), 2.0, 1e-12);
+    EXPECT_EQ(geomean({}), 0.0);
 }
 
-TEST(Stats, Accum)
+TEST(Stats, Log2HistogramBuckets)
 {
-    Accum a;
-    a.add(3.0);
-    a.add(1.0);
-    a.add(2.0);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_EQ(a.min(), 1.0);
-    EXPECT_EQ(a.max(), 3.0);
-    EXPECT_NEAR(a.mean(), 2.0, 1e-12);
+    // Bucket i holds [2^(i-1), 2^i); bucket 0 holds 0; the last
+    // bucket also takes every sample past its lower edge.
+    const size_t last = Log2Histogram::kBuckets - 1;
+    EXPECT_EQ(Log2Histogram::bucketOf(0), 0u);
+    EXPECT_EQ(Log2Histogram::bucketOf(1), 1u);
+    for (size_t k = 1; k < last; k++) {
+        EXPECT_EQ(Log2Histogram::bucketOf((uint64_t(1) << k) - 1), k);
+        EXPECT_EQ(Log2Histogram::bucketOf(uint64_t(1) << k), k + 1);
+    }
+    EXPECT_EQ(Log2Histogram::bucketOf(uint64_t(1) << last), last);
+    EXPECT_EQ(Log2Histogram::bucketOf(~uint64_t(0)), last);
+
+    // Percentiles report the upper edge of the holding bucket.
+    Log2Histogram h;
+    EXPECT_EQ(h.percentile(0.5), 0u); // empty
+    h.add(0);
+    EXPECT_EQ(h.percentile(1.0), 1u);
+    h.add(~uint64_t(0));
+    EXPECT_EQ(h.total(), 2u);
+    EXPECT_EQ(h.percentile(1.0), uint64_t(1) << last);
 }
 
-TEST(Stats, HistogramPercentile)
+TEST(Stats, Log2HistogramRankRule)
 {
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; i++)
-        h.add(double(i) + 0.5);
-    EXPECT_NEAR(h.percentile(0.5), 50.0, 2.0);
-    EXPECT_NEAR(h.percentile(0.9), 90.0, 2.0);
+    // Samples 1..100 land in buckets 1..7 with counts 1,2,4,8,16,32,
+    // 37 (cumulative 1,3,7,15,31,63,100). Rank floor((n-1)p)+1:
+    // p=0 -> 1 (bucket 1), p=0.5 -> 50 (bucket 6), p=0.99 -> 99 and
+    // p=1 -> 100 (bucket 7). Out-of-range p clamps.
+    Log2Histogram h;
+    for (uint64_t x = 1; x <= 100; x++)
+        h.add(x);
     EXPECT_EQ(h.total(), 100u);
+    EXPECT_EQ(h.percentile(0.0), 2u);
+    EXPECT_EQ(h.percentile(0.5), 64u);
+    EXPECT_EQ(h.percentile(0.99), 128u);
+    EXPECT_EQ(h.percentile(1.0), 128u);
+    EXPECT_EQ(h.percentile(-1.0), 2u);
+    EXPECT_EQ(h.percentile(2.0), 128u);
+
+    // Rank 31 is the last sample of bucket 5 (edge 32), rank 32 the
+    // first of bucket 6: (n-1)p = 30.5 and 31.5 straddle the edge.
+    EXPECT_EQ(h.percentile(30.5 / 99.0), 32u);
+    EXPECT_EQ(h.percentile(31.5 / 99.0), 64u);
+
+    // Merging adds buckets: two halves give the whole.
+    Log2Histogram lo, hi;
+    for (uint64_t x = 1; x <= 100; x++)
+        (x <= 50 ? lo : hi).add(x);
+    lo.merge(hi);
+    EXPECT_TRUE(lo == h);
 }
 
 TEST(Table, RendersAligned)

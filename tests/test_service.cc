@@ -40,7 +40,10 @@ struct EnvSetup
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstring>
 #include <mutex>
+#include <regex>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -406,101 +409,283 @@ TEST(ResponseCodec, TypedBodiesRoundTrip)
     }
 }
 
-TEST(StatsCodec, RoundTrips)
+// Every stat field, listed here on its own rather than through
+// metrics.cc's tables, so a field a table forgets fails these tests.
+uint64_t EndpointSnap::*const kEndpointCounters[] = {
+    &EndpointSnap::requests, &EndpointSnap::ok,
+    &EndpointSnap::coalesced, &EndpointSnap::cacheHits,
+    &EndpointSnap::stale, &EndpointSnap::busy,
+    &EndpointSnap::deadline, &EndpointSnap::errors,
+    &EndpointSnap::bytesIn, &EndpointSnap::bytesOut,
+};
+uint64_t StatsSnap::*const kSnapCounters[] = {
+    &StatsSnap::queueDepth, &StatsSnap::queuePeak,
+    &StatsSnap::inFlight, &StatsSnap::draining,
+    &StatsSnap::liveConns, &StatsSnap::connsAccepted,
+    &StatsSnap::connsRejected, &StatsSnap::reroutes,
+    &StatsSnap::workersUp, &StatsSnap::workersKnown,
+    &StatsSnap::breakerTrips, &StatsSnap::breakerProbes,
+    &StatsSnap::breakerRecoveries, &StatsSnap::breakerOpenNow,
+    &StatsSnap::deadlineShed, &StatsSnap::workersSupervised,
+    &StatsSnap::supervisorRestarts, &StatsSnap::supervisorCrashLoops,
+};
+uint64_t StoreHealth::*const kStoreCounters[] = {
+    &StoreHealth::loaded, &StoreHealth::salvaged, &StoreHealth::stale,
+    &StoreHealth::appended, &StoreHealth::appendedBytes,
+    &StoreHealth::fileBytes, &StoreHealth::lockWaits,
+    &StoreHealth::lockWaitUs, &StoreHealth::quarantined,
+};
+uint64_t EngineHealth::*const kEngineCounters[] = {
+    &EngineHealth::cellsBatched, &EngineHealth::cellsPerCell,
+    &EngineHealth::walksDone, &EngineHealth::walksSaved,
+};
+
+/** A snapshot whose every field holds a distinct value from @p base
+ * up, with latency samples in several buckets of every endpoint. */
+StatsSnap
+populatedSnap(uint64_t base)
 {
-    StatsSnap in;
-    in.ep[size_t(ReqType::Slab)].requests = 17;
-    in.ep[size_t(ReqType::Slab)].coalesced = 5;
-    in.ep[size_t(ReqType::Search)].deadline = 2;
-    in.queueDepth = 3;
-    in.queuePeak = 9;
-    in.inFlight = 2;
-    in.draining = 1;
-    in.store.loaded = 4;
-    in.store.appendedBytes = 12345;
-    in.engine.cellsBatched = 17640;
-    in.engine.cellsPerCell = 8;
-    in.engine.walksDone = 600;
-    in.engine.walksSaved = 17048;
-    in.ep[size_t(ReqType::Slab)].bytesIn = 4096;
-    in.ep[size_t(ReqType::Slab)].bytesOut = 1u << 20;
-    in.liveConns = 3;
-    in.connsAccepted = 11;
-    in.connsRejected = 2;
-    in.reroutes = 7;
-    in.workersUp = 3;
-    in.workersKnown = 4;
+    StatsSnap s;
+    uint64_t v = base;
+    for (EndpointSnap &e : s.ep) {
+        for (auto m : kEndpointCounters)
+            e.*m = v++;
+        for (int i = 0; i < 5; i++)
+            e.latency.add(v++ << i);
+    }
+    for (auto m : kSnapCounters)
+        s.*m = v++;
+    for (auto m : kStoreCounters)
+        s.store.*m = v++;
+    for (auto m : kEngineCounters)
+        s.engine.*m = v++;
+    s.faults = {{"net.connect", v, v + 1}, {"store.fsync", v + 2, v + 3}};
+    return s;
+}
+
+void
+expectSameSnap(const StatsSnap &a, const StatsSnap &b)
+{
+    for (size_t i = 0; i < a.ep.size(); i++) {
+        for (auto m : kEndpointCounters)
+            EXPECT_EQ(a.ep[i].*m, b.ep[i].*m) << "endpoint " << i;
+        EXPECT_TRUE(a.ep[i].latency == b.ep[i].latency)
+            << "endpoint " << i;
+    }
+    for (auto m : kSnapCounters)
+        EXPECT_EQ(a.*m, b.*m);
+    for (auto m : kStoreCounters)
+        EXPECT_EQ(a.store.*m, b.store.*m);
+    for (auto m : kEngineCounters)
+        EXPECT_EQ(a.engine.*m, b.engine.*m);
+    ASSERT_EQ(a.faults.size(), b.faults.size());
+    for (size_t i = 0; i < a.faults.size(); i++) {
+        EXPECT_EQ(a.faults[i].site, b.faults[i].site);
+        EXPECT_EQ(a.faults[i].checks, b.faults[i].checks);
+        EXPECT_EQ(a.faults[i].fired, b.faults[i].fired);
+    }
+}
+
+std::vector<uint8_t>
+encodeSnap(const StatsSnap &s)
+{
     ByteWriter w;
-    in.encode(w);
-    std::vector<uint8_t> wire = w.take();
+    s.encode(w);
+    return w.take();
+}
+
+TEST(StatsCodec, RoundTripsEveryField)
+{
+    StatsSnap in = populatedSnap(1);
+    std::vector<uint8_t> wire = encodeSnap(in);
     ByteReader r(wire);
     StatsSnap out;
     ASSERT_TRUE(StatsSnap::decode(r, &out));
     EXPECT_TRUE(r.atEnd());
-    EXPECT_EQ(out.ep[size_t(ReqType::Slab)].requests, 17u);
-    EXPECT_EQ(out.ep[size_t(ReqType::Slab)].coalesced, 5u);
-    EXPECT_EQ(out.ep[size_t(ReqType::Search)].deadline, 2u);
-    EXPECT_EQ(out.queuePeak, 9u);
-    EXPECT_EQ(out.draining, 1);
-    EXPECT_EQ(out.totalRequests(), 17u);
-    EXPECT_EQ(out.totalCoalesced(), 5u);
-    EXPECT_EQ(out.store.loaded, 4u);
-    EXPECT_EQ(out.store.appendedBytes, 12345u);
-    EXPECT_EQ(out.engine.cellsBatched, 17640u);
-    EXPECT_EQ(out.engine.cellsPerCell, 8u);
-    EXPECT_EQ(out.engine.walksDone, 600u);
-    EXPECT_EQ(out.engine.walksSaved, 17048u);
-    EXPECT_EQ(out.ep[size_t(ReqType::Slab)].bytesIn, 4096u);
-    EXPECT_EQ(out.ep[size_t(ReqType::Slab)].bytesOut,
-              uint64_t(1u << 20));
-    EXPECT_EQ(out.totalBytesIn(), 4096u);
-    EXPECT_EQ(out.totalBytesOut(), uint64_t(1u << 20));
-    EXPECT_EQ(out.liveConns, 3u);
-    EXPECT_EQ(out.connsAccepted, 11u);
-    EXPECT_EQ(out.connsRejected, 2u);
-    EXPECT_EQ(out.reroutes, 7u);
-    EXPECT_EQ(out.workersUp, 3u);
-    EXPECT_EQ(out.workersKnown, 4u);
+    expectSameSnap(in, out);
+
+    // Totals fold every endpoint.
+    uint64_t req = 0, hits = 0;
+    for (const EndpointSnap &e : in.ep) {
+        req += e.requests;
+        hits += e.cacheHits;
+    }
+    EXPECT_EQ(out.totalRequests(), req);
+    EXPECT_EQ(out.totalCacheHits(), hits);
+    EXPECT_EQ(out.total().latency.total(), 5 * in.ep.size());
+
+    // Merge a decoded snapshot into a second worker's: each field
+    // folds by its rule, faults by site.
+    StatsSnap other = populatedSnap(10000);
+    other.faults = {{"store.fsync", 7, 1}, {"net.read", 4, 2}};
+    StatsSnap fleet = other;
+    fleet.merge(out);
+    for (size_t i = 0; i < in.ep.size(); i++) {
+        for (auto m : kEndpointCounters)
+            EXPECT_EQ(fleet.ep[i].*m, in.ep[i].*m + other.ep[i].*m);
+        Log2Histogram both = in.ep[i].latency;
+        both.merge(other.ep[i].latency);
+        EXPECT_TRUE(fleet.ep[i].latency == both);
+    }
+    for (auto m : kSnapCounters) {
+        if (m == &StatsSnap::draining)
+            EXPECT_EQ(fleet.*m, in.*m | other.*m);
+        else
+            EXPECT_EQ(fleet.*m, in.*m + other.*m);
+    }
+    for (auto m : kStoreCounters) {
+        if (m == &StoreHealth::fileBytes)
+            EXPECT_EQ(fleet.store.*m, other.store.*m); // max
+        else
+            EXPECT_EQ(fleet.store.*m, in.store.*m + other.store.*m);
+    }
+    for (auto m : kEngineCounters)
+        EXPECT_EQ(fleet.engine.*m, in.engine.*m + other.engine.*m);
+    ASSERT_EQ(fleet.faults.size(), 3u);
+    EXPECT_EQ(fleet.faults[0].site, "store.fsync");
+    EXPECT_EQ(fleet.faults[0].checks, 7 + in.faults[1].checks);
+    EXPECT_EQ(fleet.faults[0].fired, 1 + in.faults[1].fired);
+    EXPECT_EQ(fleet.faults[1].site, "net.read");
+    EXPECT_EQ(fleet.faults[2].site, "net.connect");
+    EXPECT_EQ(fleet.faults[2].fired, in.faults[0].fired);
 }
 
-TEST(StatsCodec, MergeRollsUpWorkerSnapshots)
+TEST(StatsCodec, DecodeRejectsMalformed)
 {
-    StatsSnap a, b;
-    auto &sa = a.ep[size_t(ReqType::Slab)];
-    sa.requests = 10;
-    sa.ok = 9;
-    sa.bytesOut = 1000;
-    sa.latCount = 9;
-    sa.p99Us = 500;
-    auto &sb = b.ep[size_t(ReqType::Slab)];
-    sb.requests = 4;
-    sb.ok = 4;
-    sb.bytesOut = 400;
-    sb.latCount = 4;
-    sb.p99Us = 900;
-    a.liveConns = 2;
-    b.liveConns = 1;
-    b.draining = 1;
-    // Both workers share the one slab-store file: fileBytes must
-    // not double-count, while per-worker append work adds up.
-    a.store.fileBytes = 5000;
-    b.store.fileBytes = 5000;
-    a.store.appendedBytes = 100;
-    b.store.appendedBytes = 200;
+    std::vector<uint8_t> wire = encodeSnap(populatedSnap(1));
+    for (size_t n = 0; n < wire.size(); n++) {
+        ByteReader r(wire.data(), n);
+        StatsSnap out;
+        EXPECT_FALSE(StatsSnap::decode(r, &out)) << "prefix " << n;
+    }
 
+    // The snapshot opens with its u32 endpoint count.
+    for (uint32_t n : {uint32_t(ReqType::kCount) - 1,
+                       uint32_t(ReqType::kCount) + 1}) {
+        std::vector<uint8_t> bad = wire;
+        std::memcpy(bad.data(), &n, sizeof(n));
+        ByteReader r(bad);
+        StatsSnap out;
+        EXPECT_FALSE(StatsSnap::decode(r, &out)) << "endpoints " << n;
+    }
+
+    StatsSnap many;
+    many.faults.resize(size_t(kFaultSiteCount) + 1);
+    std::vector<uint8_t> bad = encodeSnap(many);
+    ByteReader r(bad);
+    StatsSnap out;
+    EXPECT_FALSE(StatsSnap::decode(r, &out));
+}
+
+TEST(StatsCodec, MergedPercentilesEqualUnionOfSamples)
+{
+    // Three workers see different latency mixes; the fleet roll-up
+    // must report the percentiles of all samples together, not the
+    // worst worker's.
+    const std::vector<std::vector<uint64_t>> samples = {
+        {3, 5, 9, 12, 14, 17, 20, 25, 31, 40},
+        {0, 1, 2, 2, 3, 700, 800},
+        {5000, 60, 61, 62, 63, 64, 65},
+    };
+    Log2Histogram all;
+    uint64_t worstP50 = 0;
     StatsSnap fleet;
-    fleet.merge(a);
-    fleet.merge(b);
-    const auto &slab = fleet.ep[size_t(ReqType::Slab)];
-    EXPECT_EQ(slab.requests, 14u);
-    EXPECT_EQ(slab.ok, 13u);
-    EXPECT_EQ(slab.bytesOut, 1400u);
-    EXPECT_EQ(slab.latCount, 13u);
-    EXPECT_EQ(slab.p99Us, 900u); // worst worker, not a sum
-    EXPECT_EQ(fleet.liveConns, 3u);
-    EXPECT_EQ(fleet.draining, 1);
+    for (size_t w = 0; w < samples.size(); w++) {
+        ServiceMetrics live;
+        EndpointMetrics &m = live.at(ReqType::Slab);
+        for (uint64_t us : samples[w]) {
+            m.addLatency(us);
+            all.add(us);
+        }
+        StatsSnap s = live.snapshot();
+        s.store.fileBytes = 5000;
+        s.store.appendedBytes = 100 * (w + 1);
+        // Through the wire, as the router sees it.
+        std::vector<uint8_t> wire = encodeSnap(s);
+        ByteReader r(wire);
+        StatsSnap got;
+        ASSERT_TRUE(StatsSnap::decode(r, &got));
+        const Log2Histogram &h = got.ep[size_t(ReqType::Slab)].latency;
+        worstP50 = std::max(worstP50, h.percentile(0.50));
+        fleet.merge(got);
+    }
+    const Log2Histogram &merged =
+        fleet.ep[size_t(ReqType::Slab)].latency;
+    EXPECT_TRUE(merged == all);
+    EXPECT_EQ(merged.percentile(0.50), all.percentile(0.50));
+    EXPECT_EQ(merged.percentile(0.99), all.percentile(0.99));
+    EXPECT_EQ(all.percentile(0.50), 32u);
+    EXPECT_EQ(all.percentile(0.99), 1024u);
+    EXPECT_NE(merged.percentile(0.50), worstP50);
+
+    // The workers share one slab-store file: fileBytes must not
+    // double-count, while per-worker append work adds up.
     EXPECT_EQ(fleet.store.fileBytes, 5000u);
-    EXPECT_EQ(fleet.store.appendedBytes, 300u);
+    EXPECT_EQ(fleet.store.appendedBytes, 600u);
+}
+
+TEST(StatsCodec, RenderKeepsChaosSoakLines)
+{
+    StatsSnap s;
+    s.ep[size_t(ReqType::Slab)].requests = 3;
+    s.ep[size_t(ReqType::Slab)].latency.add(100);
+    s.breakerOpenNow = 1;
+    s.breakerTrips = 4;
+    s.breakerProbes = 6;
+    s.breakerRecoveries = 3;
+    s.deadlineShed = 2;
+    s.workersSupervised = 2;
+    s.supervisorRestarts = 5;
+    s.faults = {{"net.connect", 40, 3}, {"store.fsync", 9, 1}};
+    const std::string text = s.render();
+
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string l; std::getline(in, l);)
+        lines.push_back(l);
+    auto has = [&](const std::string &want) {
+        return std::find(lines.begin(), lines.end(), want) !=
+               lines.end();
+    };
+    EXPECT_TRUE(has("breakers: 1 open now, 4 trips, 6 probes, "
+                    "3 recoveries, 2 deadline-shed"))
+        << text;
+    EXPECT_TRUE(has("supervisor: 2 workers, 5 restarts, "
+                    "0 crash-looping"))
+        << text;
+    EXPECT_TRUE(has("fault net.connect: 40 checks, 3 fired")) << text;
+
+    // The patterns scripts/chaos_soak.sh applies (sed, then awk's
+    // second-to-last field of each fault line).
+    auto capture = [&](const char *pattern) {
+        std::regex re(pattern);
+        std::smatch m;
+        for (const std::string &l : lines)
+            if (std::regex_match(l, m, re))
+                return m[1].str();
+        return std::string();
+    };
+    EXPECT_EQ(capture("^breakers: [0-9]* open now, ([0-9]*) trips.*"),
+              "4");
+    EXPECT_EQ(capture("^breakers: .* ([0-9][0-9]*) recoveries.*"), "3");
+    EXPECT_EQ(capture("^supervisor: [0-9]* workers, ([0-9]*) restarts.*"),
+              "5");
+    uint64_t fired = 0;
+    for (const std::string &l : lines) {
+        if (l.rfind("fault ", 0) != 0)
+            continue;
+        std::istringstream f(l);
+        std::vector<std::string> fields;
+        for (std::string w; f >> w;)
+            fields.push_back(w);
+        fired += std::stoull(fields[fields.size() - 2]);
+    }
+    EXPECT_EQ(fired, 4u);
+
+    // Idle groups stay silent; the endpoint row shows bucket edges.
+    EXPECT_EQ(text.find("slab store:"), std::string::npos) << text;
+    EXPECT_NE(text.find("| slab "), std::string::npos) << text;
+    EXPECT_NE(text.find("| 128 "), std::string::npos) << text;
 }
 
 // ---------------------------------------------------------------
