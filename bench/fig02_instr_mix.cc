@@ -36,8 +36,9 @@ mixFor(const FeatureSet &fs)
         const auto &phases = specSuite()[size_t(b)].phases;
         Mix bm;
         for (size_t p = 0; p < phases.size(); p++) {
-            CompiledRun run =
-                compileAndRun(phaseModule(first + int(p)), fs);
+            // Only the mix (Trace::dyn) is read: record no ops.
+            CompiledRun run = compileAndRun(
+                phaseModule(first + int(p)), fs, nullptr, 0);
             const DynStats &d = run.trace.dyn;
             double w = phases[p].weight;
             bm.loads += w * double(d.loads);

@@ -57,19 +57,39 @@ BM_Compile(benchmark::State &state)
 void
 BM_FunctionalExecution(benchmark::State &state)
 {
+    // The functional executor alone, on a composite ISA (the
+    // superset's full predication and packed SIMD): a fresh MemImage
+    // per iteration is copied outside the timed region. The argument
+    // is the record cap: 0 counts only (fig02/sec3), 7501 is the
+    // campaign's warm + timed + 1 prefix at the default budget, and
+    // -1 records the whole trace (migration, fig14). time/macroop
+    // is timed seconds per executed macro-op.
+    FeatureSet fs = FeatureSet::superset();
     CompileOptions opts;
-    opts.target = FeatureSet::x86_64();
+    opts.target = fs;
     IrModule ir;
     MachineProgram prog = compile(module0(), opts, nullptr, &ir);
+    const MemImage fresh = MemImage::build(ir, fs.widthBits());
+    uint64_t cap = state.range(0) < 0 ? ~uint64_t(0)
+                                      : uint64_t(state.range(0));
     uint64_t ops = 0;
     for (auto _ : state) {
-        MemImage img = MemImage::build(ir, 64);
-        ExecResult r = executeMachine(prog, img);
+        state.PauseTiming();
+        MemImage img = fresh;
+        Trace trace;
+        state.ResumeTiming();
+        ExecResult r = executeMachine(prog, img, 1ULL << 31, &trace,
+                                      1ULL << 21, cap);
         ops += r.dynInstrs;
         benchmark::DoNotOptimize(r.intChecksum);
+        benchmark::DoNotOptimize(trace.ops.data());
+        state.PauseTiming();
+        trace = Trace();
+        state.ResumeTiming();
     }
-    state.counters["macroops/s"] = benchmark::Counter(
-        double(ops), benchmark::Counter::kIsRate);
+    state.counters["time/macroop"] = benchmark::Counter(
+        double(ops),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 
 void
@@ -266,7 +286,7 @@ const bool g_warm = [] {
 } // namespace
 
 BENCHMARK(BM_Compile)->Arg(0)->Arg(25);
-BENCHMARK(BM_FunctionalExecution);
+BENCHMARK(BM_FunctionalExecution)->Arg(0)->Arg(7501)->Arg(-1);
 BENCHMARK(BM_IrInterpreter);
 BENCHMARK(BM_TimingSimulation)->Arg(0)->Arg(1);
 BENCHMARK(BM_BranchPredictor)->Arg(0)->Arg(1)->Arg(2);

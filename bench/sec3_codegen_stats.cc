@@ -36,8 +36,9 @@ suiteMix(const FeatureSet &fs, bool if_convert = true,
         opts.target = fs;
         opts.enableIfConvert = if_convert;
         opts.optLevel = opt_level;
+        // Only the mix (Trace::dyn) is read: record no ops.
         CompiledRun run =
-            compileAndRun(phaseModule(ph), fs, &opts);
+            compileAndRun(phaseModule(ph), fs, &opts, 0);
         total.add(run.trace.dyn);
     }
     return total;

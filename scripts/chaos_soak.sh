@@ -188,9 +188,18 @@ dl="$(jget deadline "$tmp/deadline.json")"
     >"$tmp/after.txt" || fail "post-chaos load lost requests"
 
 # Fleet-wide counters: one stats call against the router rolls up
-# workers, breakers, supervisor, and fault-plane counters.
-"$client" --address "$rt" stats >"$tmp/stats.txt" ||
-    fail "stats request failed"
+# workers, breakers, supervisor, and fault-plane counters. The
+# router's own net.read/net.write faults are still armed, and a
+# stats call has no retry of its own, so try it a few times.
+stats_ok=0
+for attempt in 1 2 3 4 5; do
+    if "$client" --address "$rt" stats >"$tmp/stats.txt"; then
+        stats_ok=1
+        break
+    fi
+    sleep 1
+done
+[ "$stats_ok" = 1 ] || fail "stats request failed 5 times"
 
 trips="$(sed -n \
     's/^breakers: [0-9]* open now, \([0-9]*\) trips.*/\1/p' \

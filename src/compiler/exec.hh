@@ -2,18 +2,25 @@
  * @file
  * Functional machine execution and dynamic-trace capture.
  *
- * MachineExecutor interprets a compiled MachineProgram against a
+ * executeMachine interprets a compiled MachineProgram against a
  * MemImage with exact architectural semantics (two-address ops, adc
  * carry chains, predication, SSE lanes), producing the same
  * observable ExecResult contract as the IR interpreter — that
  * equality is the compiler's correctness oracle.
  *
+ * Each call first predecodes the program into a flat record array
+ * (successors and callees as indices, operands as register slots)
+ * and then runs one dispatch loop over it with an explicit call
+ * stack. The loop only counts per static instruction; the counts
+ * fold into ExecResult and DynStats at the end.
+ *
  * When given a Trace sink it additionally records one DynOp per
- * executed macro-op, carrying everything the timing models need:
- * code address and length (fetch, ILD, I-cache, micro-op cache),
- * micro-op expansion and class (decode, issue, functional units),
- * genuine data addresses (D-cache), register operands (renaming and
- * dependencies), and real branch outcomes (predictors).
+ * executed macro-op, up to record_cap of them, carrying everything
+ * the timing models need: code address and length (fetch, ILD,
+ * I-cache, micro-op cache), micro-op expansion and class (decode,
+ * issue, functional units), genuine data addresses (D-cache),
+ * register operands (renaming and dependencies), and real branch
+ * outcomes (predictors). Trace::dyn always covers the whole run.
  */
 
 #ifndef CISA_COMPILER_EXEC_HH
@@ -110,21 +117,26 @@ struct Trace
 {
     std::vector<DynOp> ops;
     DynStats dyn;
-    bool truncated = false; ///< hit the capture cap before Ret
+    bool truncated = false; ///< executed past trace_cap: stopped early
 };
 
 /**
  * Execute @p prog against @p img.
  *
- * @param max_macro_ops fuel limit
+ * @param max_macro_ops fuel limit: the run stops (ExecResult::ranOut)
+ *     before executing more macro-ops than this
  * @param trace optional trace sink
- * @param trace_cap stop executing after this many trace entries
+ * @param trace_cap with a trace, the run stops right after the first
+ *     executed macro-op past this many and sets Trace::truncated,
+ *     however many ops are recorded
  * @param record_cap stop *storing* DynOps after this many entries
  *     while execution (and DynStats accounting) continues to the
- *     end of the run. Callers that only simulate a bounded uop
- *     budget over the trace prefix pass the budget here and read
- *     the full-run op count from Trace::dyn.macroOps, skipping the
- *     construction of millions of DynOps nothing ever reads.
+ *     end of the run. The stored ops are exactly the full run's
+ *     first record_cap, except that the last one's target (no
+ *     recorded successor) is its own pc + len. Callers that only
+ *     simulate a bounded uop budget over the trace prefix pass the
+ *     budget here (0 when they read only Trace::dyn) and read the
+ *     full-run op count from Trace::dyn.macroOps.
  */
 ExecResult executeMachine(const MachineProgram &prog, MemImage &img,
                           uint64_t max_macro_ops = 1ULL << 32,

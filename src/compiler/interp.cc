@@ -82,24 +82,11 @@ MemImage::build(const IrModule &m, int ptr_bits)
     return img;
 }
 
-uint64_t
-MemImage::load(uint64_t addr, int bytes) const
-{
-    panic_if(addr + uint64_t(bytes) > mem.size(),
-             "load out of bounds: %llu+%d (image %zu)",
-             static_cast<unsigned long long>(addr), bytes, mem.size());
-    uint64_t v = 0;
-    std::memcpy(&v, &mem[addr], size_t(bytes));
-    return v;
-}
-
 void
-MemImage::store(uint64_t addr, uint64_t val, int bytes)
+MemImage::outOfBounds(const char *what, uint64_t addr, int bytes) const
 {
-    panic_if(addr + uint64_t(bytes) > mem.size(),
-             "store out of bounds: %llu+%d (image %zu)",
-             static_cast<unsigned long long>(addr), bytes, mem.size());
-    std::memcpy(&mem[addr], &val, size_t(bytes));
+    panic("%s out of bounds: %llu+%d (image %zu)", what,
+          static_cast<unsigned long long>(addr), bytes, mem.size());
 }
 
 namespace

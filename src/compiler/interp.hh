@@ -20,6 +20,7 @@
 #define CISA_COMPILER_INTERP_HH
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "compiler/ir.hh"
@@ -48,11 +49,44 @@ struct MemImage
     /** Lay out and initialize all regions of @p m. */
     static MemImage build(const IrModule &m, int ptr_bits);
 
-    uint64_t load(uint64_t addr, int bytes) const;
-    void store(uint64_t addr, uint64_t val, int bytes);
+    /** Little-endian access of 0-8 bytes; out of bounds panics.
+     * Inline, with 4- and 8-byte fast paths: the functional
+     * executor makes one or two per executed memory op. */
+    uint64_t
+    load(uint64_t addr, int bytes) const
+    {
+        if (addr + uint64_t(bytes) > mem.size()) [[unlikely]]
+            outOfBounds("load", addr, bytes);
+        uint64_t v = 0;
+        copyBytes(&v, mem.data() + addr, bytes);
+        return v;
+    }
+
+    void
+    store(uint64_t addr, uint64_t val, int bytes)
+    {
+        if (addr + uint64_t(bytes) > mem.size()) [[unlikely]]
+            outOfBounds("store", addr, bytes);
+        copyBytes(mem.data() + addr, &val, bytes);
+    }
 
     /** Total footprint in bytes (excluding the stack). */
     uint64_t dataBytes() const { return stackBase; }
+
+  private:
+    static void
+    copyBytes(void *dst, const void *src, int bytes)
+    {
+        if (bytes == 8)
+            std::memcpy(dst, src, 8);
+        else if (bytes == 4)
+            std::memcpy(dst, src, 4);
+        else
+            std::memcpy(dst, src, size_t(bytes));
+    }
+
+    [[noreturn]] void outOfBounds(const char *what, uint64_t addr,
+                                  int bytes) const;
 };
 
 /** Observable outcome of executing a module. */

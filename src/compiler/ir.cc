@@ -65,22 +65,6 @@ negateCond(Cond c)
     return Cond::Eq;
 }
 
-bool
-evalCond(Cond c, int64_t a, int64_t b)
-{
-    switch (c) {
-      case Cond::Eq: return a == b;
-      case Cond::Ne: return a != b;
-      case Cond::Lt: return a < b;
-      case Cond::Le: return a <= b;
-      case Cond::Gt: return a > b;
-      case Cond::Ge: return a >= b;
-      case Cond::Ult: return uint64_t(a) < uint64_t(b);
-      case Cond::Uge: return uint64_t(a) >= uint64_t(b);
-    }
-    return false;
-}
-
 const char *
 irOpName(IrOp op)
 {

@@ -51,8 +51,26 @@ const char *condName(Cond c);
 /** Negation of a condition. */
 Cond negateCond(Cond c);
 
-/** Evaluate a condition on a signed comparison of a vs b. */
-bool evalCond(Cond c, int64_t a, int64_t b);
+/**
+ * Evaluate a condition on a signed comparison of a vs b. Inline and
+ * branch-free (all eight outcomes as bits, indexed by the condition):
+ * both interpreters evaluate one per executed branch, and a switch
+ * here would add an indirect jump per guest branch.
+ */
+inline bool
+evalCond(Cond c, int64_t a, int64_t b)
+{
+    uint64_t ua = uint64_t(a), ub = uint64_t(b);
+    unsigned all = unsigned(a == b) << unsigned(Cond::Eq) |
+                   unsigned(a != b) << unsigned(Cond::Ne) |
+                   unsigned(a < b) << unsigned(Cond::Lt) |
+                   unsigned(a <= b) << unsigned(Cond::Le) |
+                   unsigned(a > b) << unsigned(Cond::Gt) |
+                   unsigned(a >= b) << unsigned(Cond::Ge) |
+                   unsigned(ua < ub) << unsigned(Cond::Ult) |
+                   unsigned(ua >= ub) << unsigned(Cond::Uge);
+    return (all >> unsigned(c)) & 1;
+}
 
 /** IR operations. */
 enum class IrOp : uint8_t {

@@ -14,7 +14,7 @@ versionString()
 
 CompiledRun
 compileAndRun(const IrModule &module, const FeatureSet &isa,
-              const CompileOptions *options)
+              const CompileOptions *options, uint64_t record_cap)
 {
     CompileOptions opts =
         options ? *options : CompileOptions::fromEnv();
@@ -26,7 +26,7 @@ compileAndRun(const IrModule &module, const FeatureSet &isa,
     MemImage img = MemImage::build(out.transformedIr,
                                    isa.widthBits());
     out.result = executeMachine(out.program, img, 1ULL << 31,
-                                &out.trace, 1ULL << 21);
+                                &out.trace, 1ULL << 21, record_cap);
     return out;
 }
 
@@ -43,13 +43,18 @@ evaluatePhase(int phase_idx, const FeatureSet &isa,
     IrModule ir;
     MachineProgram prog = compile(mod, opts, &rep, &ir);
 
-    MemImage img = MemImage::build(ir, isa.widthBits());
-    Trace trace;
-    executeMachine(prog, img, 1ULL << 31, &trace, 1ULL << 21);
-    panic_if(trace.truncated, "phase %d trace truncated", phase_idx);
-
+    // The simulation reads at most warm + timed ops (one uop or
+    // more each) plus one successor, so only that prefix is recorded;
+    // the run itself goes to completion for the per-run op count.
     uint64_t timed = timed_uops ? timed_uops : simUopBudget();
     uint64_t warm = simWarmupUops();
+    MemImage img = MemImage::build(ir, isa.widthBits());
+    Trace trace;
+    ExecResult er = executeMachine(prog, img, 1ULL << 31, &trace,
+                                   1ULL << 21, warm + timed + 1);
+    panic_if(trace.truncated || er.ranOut, "phase %d trace truncated",
+             phase_idx);
+
     CoreConfig cc{isa, uarch};
     PerfResult perf = simulateCore(cc, trace, timed, warm, env);
 
@@ -62,7 +67,7 @@ evaluatePhase(int phase_idx, const FeatureSet &isa,
     run.areaMm2 = coreAreaMm2(cc);
     run.peakPowerW = corePeakPowerW(cc);
     double scale =
-        double(trace.ops.size()) / double(perf.stats.macroOps);
+        double(trace.dyn.macroOps) / double(perf.stats.macroOps);
     run.timePerRunSec = secondsOf(perf.cycles) * scale;
     run.energyPerRunJ = run.energy.total() * scale;
     return run;

@@ -76,9 +76,15 @@ struct CompiledRun
     ExecResult result;
 };
 
+/**
+ * @param record_cap as executeMachine's: how many leading DynOps to
+ *     keep in CompiledRun::trace. Trace::dyn always covers the whole
+ *     run, so callers that read only the mix pass 0.
+ */
 CompiledRun compileAndRun(const IrModule &module,
                           const FeatureSet &isa,
-                          const CompileOptions *options = nullptr);
+                          const CompileOptions *options = nullptr,
+                          uint64_t record_cap = ~uint64_t(0));
 
 /** Library version string. */
 const char *versionString();

@@ -294,12 +294,13 @@ computeSlabPerf(int slab, SlabEngine engine,
     // A cell only ever consumes the first (warm + timed) uops of a
     // trace — at least one uop per macro-op, so (warm + timed) + 1
     // stored ops bound every simulation below (+1 so the final
-    // consumed op still has a real successor target). Composite
-    // slabs therefore cap *recording* there while the run executes
-    // to completion for the per-run op count (Trace::dyn.macroOps,
-    // which equals ops.size() for an uncapped, untruncated run).
-    // Vendor slabs keep full recording: vendorAdjustTrace rewrites
-    // the whole trace and its output length feeds run_ops.
+    // consumed op still has a real successor target). Every slab
+    // therefore caps *recording* there while the run executes to
+    // completion, only counting, for the per-run op count
+    // (Trace::dyn.macroOps). Vendor slabs cap too: vendorAdjustTrace
+    // rewrites each recorded op on its own, so the prefix it maps is
+    // the prefix of the full adjusted trace, and the op count it
+    // would have returned is dyn.macroOps.
     //
     // Replay preprocessing is folded into the same loop: as soon as
     // a phase's trace lands, this task packs it and fans its stream
@@ -308,8 +309,7 @@ computeSlabPerf(int slab, SlabEngine engine,
     // at a serial barrier. Declaration order matters: traces/packed/
     // streams precede the group, so an unwinding exception drains
     // the in-flight builds before their inputs and outputs die.
-    uint64_t record_cap =
-        is_vendor ? ~uint64_t(0) : warm + timed + 1;
+    uint64_t record_cap = warm + timed + 1;
     std::vector<Trace> traces(phases);
     std::vector<double> run_ops(phases, 0.0);
     std::vector<ReplayTrace> packed(replay ? phases : 0);
@@ -327,14 +327,13 @@ computeSlabPerf(int slab, SlabEngine engine,
         MachineProgram prog = compile(mod, opts, nullptr, &ir);
         MemImage img = MemImage::build(ir, fs.widthBits());
         Trace trace;
-        executeMachine(prog, img, 1ULL << 31, &trace, 1ULL << 21,
-                       record_cap);
-        panic_if(trace.truncated,
+        ExecResult er = executeMachine(prog, img, 1ULL << 31, &trace,
+                                       1ULL << 21, record_cap);
+        panic_if(trace.truncated || er.ranOut,
                  "phase %d trace truncated; shrink targetDynOps", ph);
         if (is_vendor && vm.codeSizeFactor != 1.0)
             trace = vendorAdjustTrace(trace, vm.codeSizeFactor);
-        run_ops[p] = is_vendor ? double(trace.ops.size())
-                               : double(trace.dyn.macroOps);
+        run_ops[p] = double(trace.dyn.macroOps);
         traces[p] = std::move(trace);
         if (!replay)
             return;

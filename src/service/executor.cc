@@ -206,10 +206,7 @@ Executor::wait(const JobPtr &job, uint32_t deadline_ms)
     switch (resp.status) {
       case Status::Ok: {
         m.ok.fetch_add(1, std::memory_order_relaxed);
-        auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      Clock::now() - job->submitTime)
-                      .count();
-        m.addLatency(uint64_t(std::max<int64_t>(us, 0)));
+        m.addLatencySince(job->submitTime);
         break;
       }
       case Status::Deadline:
@@ -242,8 +239,10 @@ Executor::call(const Request &req, uint32_t deadline_ms)
 
     JobPtr job;
     Response cached;
+    Clock::time_point start = Clock::now();
     switch (submit(req, deadline_ms, &job, &cached)) {
       case Admit::CacheHit:
+        metrics_.at(req.type).addLatencySince(start);
         return cached;
       case Admit::Busy:
         return Response::fail(Status::Busy,

@@ -19,8 +19,10 @@
 #ifndef CISA_SERVICE_METRICS_HH
 #define CISA_SERVICE_METRICS_HH
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -47,7 +49,8 @@ struct EndpointMetrics
     std::atomic<uint64_t> errors{0};    ///< handler failure/bad req
     std::atomic<uint64_t> bytesIn{0};   ///< request wire bytes
     std::atomic<uint64_t> bytesOut{0};  ///< response wire bytes
-    /** Submit-to-response microseconds of Ok requests, bucketed by
+    /** Submit-to-response microseconds of Ok requests, cache hits
+     * (executor LRU and wire cache) included, bucketed by
      * Log2Histogram::bucketOf. */
     std::array<std::atomic<uint64_t>, Log2Histogram::kBuckets>
         latency{};
@@ -57,6 +60,16 @@ struct EndpointMetrics
     {
         latency[Log2Histogram::bucketOf(us)].fetch_add(
             1, std::memory_order_relaxed);
+    }
+
+    /** addLatency of the time elapsed since @p start. */
+    void
+    addLatencySince(std::chrono::steady_clock::time_point start)
+    {
+        auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+        addLatency(uint64_t(std::max<int64_t>(us, 0)));
     }
 };
 

@@ -1,6 +1,7 @@
 #include "service/server.hh"
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include <poll.h>
@@ -263,6 +264,7 @@ Server::serveFrames(int fd)
         bool mayCache = req.cacheable() && wireCap_ > 0 &&
                         !exec_->draining();
         if (mayCache) {
+            auto start = std::chrono::steady_clock::now();
             key = req.fingerprint();
             if (WirePtr hit = cachedWire(key)) {
                 m.requests.fetch_add(1, std::memory_order_relaxed);
@@ -270,6 +272,7 @@ Server::serveFrames(int fd)
                 m.cacheHits.fetch_add(1, std::memory_order_relaxed);
                 m.bytesOut.fetch_add(hit->size(),
                                      std::memory_order_relaxed);
+                m.addLatencySince(start);
                 if (!writeWire(fd, *hit))
                     return;
                 continue;

@@ -854,8 +854,11 @@ TEST(Executor, CachesCompletedResponses)
     EXPECT_EQ(exec.call(Request::slabPerf(2)).status, Status::Ok);
     EXPECT_EQ(exec.call(Request::slabPerf(2)).status, Status::Ok);
     EXPECT_EQ(runs.load(), 1) << "second call must be a cache hit";
-    EXPECT_EQ(exec.snapshot().ep[size_t(ReqType::Slab)].cacheHits,
-              1u);
+    const EndpointSnap slab = exec.snapshot().ep[size_t(ReqType::Slab)];
+    EXPECT_EQ(slab.cacheHits, 1u);
+    // The cached repeat is a served request: it is in the latency
+    // histogram beside the computed one.
+    EXPECT_EQ(slab.latency.total(), 2u);
 
     // Ping is not cacheable: each call runs.
     EXPECT_EQ(exec.call(Request::ping()).status, Status::Ok);
@@ -1059,7 +1062,9 @@ TEST(Executor, DrainFinishesWorkThenRejects)
             got[size_t(i)] = exec.call(Request::slabPerf(i));
         });
     }
-    while (gate.invocations.load() < 2)
+    // Both workers hold a request and the third is queued behind
+    // them; draining any earlier would answer the third BUSY.
+    while (gate.invocations.load() < 2 || exec.queueDepth() < 1)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
     std::thread drainer([&] { exec.drain(); });
@@ -1443,12 +1448,13 @@ TEST(ServerTcp, LoopbackByteIdenticalToLibrary)
     EXPECT_EQ(r1.body, w.bytes());
 
     // The repeat was served from a cache, and the byte accounting
-    // saw both responses.
+    // and the latency histogram saw both responses.
     StatsSnap snap;
     ASSERT_EQ(c.stats(&snap), Status::Ok);
     const EndpointSnap &slab = snap.ep[size_t(ReqType::Slab)];
     EXPECT_EQ(slab.requests, 2u);
     EXPECT_GE(slab.cacheHits, 1u);
+    EXPECT_EQ(slab.latency.total(), 2u);
     EXPECT_GE(slab.bytesOut, 2 * uint64_t(r1.body.size()));
     EXPECT_GT(slab.bytesIn, 0u);
 
